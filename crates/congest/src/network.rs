@@ -28,7 +28,9 @@
 //! (cleared sparsely through touched-index lists), payload bit-sizes are
 //! computed once per envelope into a reusable buffer, inboxes are pre-sized
 //! from a counting pass, and the König coloring reuses its slot tables
-//! across calls ([`ColoringScratch`]). None of this affects the *model*:
+//! across calls ([`ColoringScratch`]). A route's relay-link maximum is
+//! memoized by its exact unit list, so a schedule repeated call after call
+//! is colored once. None of this affects the *model*:
 //! charged rounds and all other metrics are byte-identical to the
 //! straightforward implementation, which `tests/determinism.rs` pins
 //! against recorded counts.
@@ -56,6 +58,11 @@ pub const DEFAULT_BANDWIDTH_FACTOR: u64 = 16;
 /// routings use the degree bound directly — the schedule's existence is
 /// König's theorem.
 pub const EXPLICIT_SCHEDULE_LIMIT: usize = 50_000;
+
+/// Number of unit lists whose relay-link maximum a [`Clique`] remembers.
+/// One FindEdges pass routes three distinct schedules below the limit (the
+/// Step-1 gather and the two Step-2 legs), which repeat from pass to pass.
+const RELAY_MEMO_CAPACITY: usize = 4;
 
 /// Reusable per-call working memory of a [`Clique`].
 ///
@@ -92,6 +99,10 @@ struct Scratch {
     colors: Vec<usize>,
     /// Slot tables of the König coloring.
     coloring: ColoringScratch,
+    /// Relay-link maxima of recently colored unit lists (stored as `u32`
+    /// pairs), most recently used first, at most [`RELAY_MEMO_CAPACITY`]
+    /// entries.
+    relay_memo: Vec<(Vec<(u32, u32)>, u64)>,
 }
 
 impl Scratch {
@@ -104,6 +115,135 @@ impl Scratch {
             pair_counts: vec![0; n * n],
             ..Scratch::default()
         }
+    }
+
+    /// Tallies one Lemma-1 route from its non-local messages
+    /// `(src, dst, bits)` in submission order and returns the comm record
+    /// `route` charges: `(rounds, units·2, bits·2, max link, max out,
+    /// max in)`, the last three in bits. `msgs` is walked a second time
+    /// only when the unit multiset is small enough for the explicit
+    /// schedule.
+    fn tally_route<I>(&mut self, n: usize, bandwidth_bits: u64, msgs: I) -> [u64; 6]
+    where
+        I: Iterator<Item = (usize, usize, u64)> + Clone,
+    {
+        self.out_load.fill(0);
+        self.in_load.fill(0);
+        let mut total_bits = 0u64;
+        let mut unit_count = 0u64;
+        for (src, dst, bits) in msgs.clone() {
+            total_bits += bits;
+            let k = bits.div_ceil(bandwidth_bits).max(1);
+            unit_count += k;
+            self.out_load[src] += k;
+            self.in_load[dst] += k;
+        }
+        // The per-node unit loads are exactly the left/right degrees of the
+        // demand multigraph, so Δ is their maximum.
+        let max_out = self.out_load.iter().copied().max().unwrap_or(0);
+        let max_in = self.in_load.iter().copied().max().unwrap_or(0);
+        let delta = max_out.max(max_in);
+        let batches = delta.div_ceil(n as u64);
+        // Relay-link load: within one batch each (src, relay) and
+        // (relay, dst) pair carries at most one unit, so the busiest link
+        // carries at most `batches` units of ≤ B bits each. The explicit
+        // König schedule is constructed (and checked) up to a size limit;
+        // beyond it only the degree bound is computed — the coloring's
+        // existence is König's theorem, and its cost (`O(m·Δ)`) is a
+        // simulator-host concern, not a model concern.
+        let max_link_units = if unit_count as usize <= EXPLICIT_SCHEDULE_LIMIT {
+            self.units.clear();
+            self.units.reserve(unit_count as usize);
+            for (src, dst, bits) in msgs {
+                let k = bits.div_ceil(bandwidth_bits).max(1);
+                self.units
+                    .extend(std::iter::repeat_n((src, dst), k as usize));
+            }
+            self.relay_link_max(n)
+        } else {
+            batches
+        };
+        [
+            2 * batches,
+            2 * unit_count,
+            2 * total_bits,
+            max_link_units * bandwidth_bits,
+            max_out * bandwidth_bits,
+            max_in * bandwidth_bits,
+        ]
+    }
+
+    /// Busiest relay link, in units, of the König schedule of `units`
+    /// (color `c` relays through node `c mod n`).
+    ///
+    /// The coloring is a pure function of the unit list and `n`, so the
+    /// result is memoized by exact equality of the list: a schedule
+    /// repeated call after call is colored once. The memo keeps the
+    /// [`RELAY_MEMO_CAPACITY`] most recently used lists, each at most
+    /// [`EXPLICIT_SCHEDULE_LIMIT`] `u32` pairs.
+    fn relay_link_max(&mut self, n: usize) -> u64 {
+        if self.units.is_empty() {
+            return 0;
+        }
+        let units = &self.units;
+        let same_list = |key: &Vec<(u32, u32)>| {
+            key.len() == units.len()
+                && key
+                    .iter()
+                    .zip(units)
+                    .all(|(&(ks, kd), &(src, dst))| ks as usize == src && kd as usize == dst)
+        };
+        if let Some(i) = self.relay_memo.iter().position(|(key, _)| same_list(key)) {
+            let entry = self.relay_memo.remove(i);
+            let max = entry.1;
+            self.relay_memo.insert(0, entry);
+            return max;
+        }
+        let num_colors =
+            color_bipartite_into(&self.units, n, n, &mut self.coloring, &mut self.colors);
+        debug_assert!(is_proper_colors(
+            &self.units,
+            &self.colors,
+            num_colors,
+            n,
+            n
+        ));
+        for (&(src, dst), &color) in self.units.iter().zip(&self.colors) {
+            let relay = color % n;
+            for link in [src * n + relay, relay * n + dst] {
+                if self.relay_units[link] == 0 {
+                    self.touched_relays.push(link);
+                }
+                self.relay_units[link] += 1;
+            }
+        }
+        let max = self
+            .touched_relays
+            .iter()
+            .map(|&l| self.relay_units[l])
+            .max()
+            .unwrap_or(0);
+        for &l in &self.touched_relays {
+            self.relay_units[l] = 0;
+        }
+        self.touched_relays.clear();
+        // Recycle the evicted key's buffer for the new entry.
+        let mut key = if self.relay_memo.len() == RELAY_MEMO_CAPACITY {
+            self.relay_memo
+                .pop()
+                .map(|(key, _)| key)
+                .unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        key.clear();
+        key.extend(
+            self.units
+                .iter()
+                .map(|&(src, dst)| (src as u32, dst as u32)),
+        );
+        self.relay_memo.insert(0, (key, max));
+        max
     }
 }
 
@@ -624,67 +764,49 @@ impl Clique {
         rounds
     }
 
-    /// Charges one `route` phase from a pre-tallied link table instead of
-    /// materialized envelopes, every message exactly `bits_per_msg` bits
-    /// wide — but only when the fragment-unit multiset is past
-    /// [`EXPLICIT_SCHEDULE_LIMIT`], where the materialized path also skips
-    /// the explicit König schedule and records the degree bound `⌈Δ/n⌉` as
-    /// the relay-link maximum. Below the limit the relay maximum comes from
-    /// the actual coloring of the submission-ordered unit list, which a
-    /// tally cannot reproduce: the call records **nothing** and returns
-    /// `None`, and the caller must fall back to [`Clique::route`].
+    /// Charges one `route` phase from its message stream instead of
+    /// materialized envelopes: `msgs` yields `(src, dst, bits)` for every
+    /// message in submission order. Rounds, message and bit totals, the
+    /// relay-link and per-node maxima, and the emitted trace event are
+    /// byte-identical to [`Clique::route`] over envelopes with the same
+    /// endpoints and bit sizes in the same order, at every size: below
+    /// [`EXPLICIT_SCHEDULE_LIMIT`] the relay maximum comes from the same
+    /// König coloring of the same unit list. Messages with `src == dst` are
+    /// local and free, as in the materialized path. Returns the rounds
+    /// charged.
     ///
-    /// On `Some(rounds)`, the recorded rounds, totals, maxima, and trace
-    /// event are byte-identical to [`Clique::route`] over the same traffic.
+    /// Only available on a transparent network ([`Clique::is_transparent`]):
+    /// faulty or enveloped networks need real payloads on the wire, so
+    /// callers must use [`Clique::route`] there.
     ///
     /// # Panics
     ///
-    /// Panics if the network is not transparent or `link_msgs.len() ≠ n²`.
-    pub fn charge_route_tally(&mut self, link_msgs: &[u32], bits_per_msg: u64) -> Option<u64> {
+    /// Panics if the network is not transparent or an endpoint is `≥ n`.
+    pub fn charge_route_stream<I>(&mut self, msgs: I) -> u64
+    where
+        I: IntoIterator<Item = (usize, usize, u64)>,
+        I::IntoIter: Clone,
+    {
         assert!(
             self.is_transparent(),
             "charge-only route requires a transparent network"
         );
-        let n = self.n;
-        assert_eq!(link_msgs.len(), n * n, "link table must be n × n");
-        let units_per_msg = bits_per_msg.div_ceil(self.bandwidth_bits).max(1);
-        let s = &mut self.scratch;
-        s.out_load.fill(0);
-        s.in_load.fill(0);
-        let mut unit_count = 0u64;
-        let mut message_count = 0u64;
-        for src in 0..n {
-            let row = &link_msgs[src * n..(src + 1) * n];
-            for (dst, &count) in row.iter().enumerate() {
-                if count == 0 || src == dst {
-                    continue;
-                }
-                let units = u64::from(count) * units_per_msg;
-                message_count += u64::from(count);
-                unit_count += units;
-                s.out_load[src] += units;
-                s.in_load[dst] += units;
-            }
-        }
-        if unit_count as usize <= EXPLICIT_SCHEDULE_LIMIT {
-            return None;
-        }
-        let total_bits = message_count * bits_per_msg;
-        let max_out = s.out_load.iter().copied().max().unwrap_or(0);
-        let max_in = s.in_load.iter().copied().max().unwrap_or(0);
-        let delta = max_out.max(max_in);
-        let batches = delta.div_ceil(n as u64);
-        let rounds = 2 * batches;
-        self.metrics.record_comm(
-            "route",
-            rounds,
-            2 * unit_count,
-            2 * total_bits,
-            batches * self.bandwidth_bits,
-            max_out * self.bandwidth_bits,
-            max_in * self.bandwidth_bits,
+        let record = self.scratch.tally_route(
+            self.n,
+            self.bandwidth_bits,
+            msgs.into_iter().filter(|&(src, dst, _)| src != dst),
         );
-        Some(rounds)
+        self.record_route(record)
+    }
+
+    /// Records one route's comm event and returns its rounds.
+    fn record_route(
+        &mut self,
+        [rounds, messages, bits, max_link, max_out, max_in]: [u64; 6],
+    ) -> u64 {
+        self.metrics
+            .record_comm("route", rounds, messages, bits, max_link, max_out, max_in);
+        rounds
     }
 
     /// Delivers messages through intermediate relays (Lemma 1 of the paper).
@@ -718,85 +840,21 @@ impl Clique {
     pub(crate) fn route_raw<T: Payload>(&mut self, sends: Vec<Envelope<T>>) -> Inboxes<T> {
         self.fault_call_begin();
         self.cache_bit_sizes(&sends);
-        let n = self.n;
-        let s = &mut self.scratch;
+        // The sizes are moved out for the tally, which borrows the rest of
+        // the scratch, and moved back, keeping the buffer's allocation.
+        let bit_sizes = std::mem::take(&mut self.scratch.bit_sizes);
         let faults = self.faults.as_ref();
-        s.units.clear();
-        s.out_load.fill(0);
-        s.in_load.fill(0);
-        let mut total_bits = 0u64;
-        let mut unit_count = 0u64;
-        for (e, &bits) in sends.iter().zip(&s.bit_sizes) {
-            if e.src == e.dst || faults.is_some_and(|f| f.is_crashed(e.src)) {
-                continue;
-            }
-            total_bits += bits;
-            let k = bits.div_ceil(self.bandwidth_bits).max(1);
-            unit_count += k;
-            s.out_load[e.src.index()] += k;
-            s.in_load[e.dst.index()] += k;
-        }
-        // The per-node unit loads are exactly the left/right degrees of the
-        // demand multigraph, so Δ is their maximum.
-        let max_out = s.out_load.iter().copied().max().unwrap_or(0);
-        let max_in = s.in_load.iter().copied().max().unwrap_or(0);
-        let delta = max_out.max(max_in);
-        let batches = delta.div_ceil(n as u64);
-        let rounds = 2 * batches;
-        // Relay-link load: within one batch each (src, relay) and
-        // (relay, dst) pair carries at most one unit, so the busiest link
-        // carries at most `batches` units of ≤ B bits each. The explicit
-        // König schedule is constructed (and checked) up to a size limit;
-        // beyond it only the degree bound is computed — the coloring's
-        // existence is König's theorem, and its cost (`O(m·Δ)`) is a
-        // simulator-host concern, not a model concern. The unit multiset is
-        // only materialized when the schedule actually gets built.
-        let max_link_units = if unit_count as usize <= EXPLICIT_SCHEDULE_LIMIT {
-            s.units.reserve(unit_count as usize);
-            for (e, &bits) in sends.iter().zip(&s.bit_sizes) {
-                if e.src == e.dst || faults.is_some_and(|f| f.is_crashed(e.src)) {
-                    continue;
-                }
-                let k = bits.div_ceil(self.bandwidth_bits).max(1);
-                let (src, dst) = (e.src.index(), e.dst.index());
-                for _ in 0..k {
-                    s.units.push((src, dst));
-                }
-            }
-            let num_colors = color_bipartite_into(&s.units, n, n, &mut s.coloring, &mut s.colors);
-            debug_assert!(is_proper_colors(&s.units, &s.colors, num_colors, n, n));
-            for (i, &(src, dst)) in s.units.iter().enumerate() {
-                let relay = s.colors[i] % n;
-                for link in [src * n + relay, relay * n + dst] {
-                    if s.relay_units[link] == 0 {
-                        s.touched_relays.push(link);
-                    }
-                    s.relay_units[link] += 1;
-                }
-            }
-            let max = s
-                .touched_relays
+        let record = self.scratch.tally_route(
+            self.n,
+            self.bandwidth_bits,
+            sends
                 .iter()
-                .map(|&l| s.relay_units[l])
-                .max()
-                .unwrap_or(0);
-            for &l in &s.touched_relays {
-                s.relay_units[l] = 0;
-            }
-            s.touched_relays.clear();
-            max
-        } else {
-            batches
-        };
-        self.metrics.record_comm(
-            "route",
-            rounds,
-            2 * unit_count,
-            2 * total_bits,
-            max_link_units * self.bandwidth_bits,
-            max_out * self.bandwidth_bits,
-            max_in * self.bandwidth_bits,
+                .zip(&bit_sizes)
+                .filter(|(e, _)| e.src != e.dst && faults.is_none_or(|f| !f.is_crashed(e.src)))
+                .map(|(e, &bits)| (e.src.index(), e.dst.index(), bits)),
         );
+        self.scratch.bit_sizes = bit_sizes;
+        self.record_route(record);
         self.deliver(sends)
     }
 
@@ -1144,6 +1202,38 @@ mod tests {
         let after_route = c.rounds();
         c.route(mk()).unwrap();
         assert_eq!(c.rounds() - after_route, after_route - 2);
+    }
+
+    /// Charges one below-limit route whose destinations depend on `shift`
+    /// and returns its unit list and recorded relay-link maximum.
+    fn route_shifted(c: &mut Clique, shift: usize) -> (Vec<(u32, u32)>, u64) {
+        let n = c.n();
+        c.charge_route_stream((0..40).map(|i| (i % n, (i * 5 + shift) % n, 8)));
+        let max_link = c.metrics().phases().last().map_or(0, |p| p.max_link_bits);
+        let units = c.scratch.units.iter();
+        let key = units.map(|&(src, dst)| (src as u32, dst as u32)).collect();
+        (key, max_link)
+    }
+
+    #[test]
+    fn relay_memo_keeps_the_most_recently_used_lists() {
+        let mut c = net(6);
+        let (first, first_max) = route_shifted(&mut c, 1);
+        let (second, _) = route_shifted(&mut c, 2);
+        assert_ne!(first, second);
+        // A hit moves the entry to the front and records the same maximum.
+        assert_eq!(route_shifted(&mut c, 1), (first.clone(), first_max));
+        assert_eq!(c.scratch.relay_memo.len(), 2);
+        assert_eq!(c.scratch.relay_memo[0].0, first);
+        for shift in 3..6 {
+            route_shifted(&mut c, shift);
+        }
+        // Five distinct lists through a four-entry memo: the least recently
+        // used one (`second`) is gone, the rest stay.
+        let keys: Vec<_> = c.scratch.relay_memo.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), RELAY_MEMO_CAPACITY);
+        assert!(keys.contains(&&first));
+        assert!(!keys.contains(&&second));
     }
 
     /// One 32-bit message per node to its successor: a single round at the

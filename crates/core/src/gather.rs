@@ -606,21 +606,21 @@ pub fn gather_weights(
     if net.is_transparent() {
         // Charge-only gather: the route's cost (including the explicit
         // unit coloring below the scheduling limit) depends only on each
-        // message's (src, dst, bits) in submission order, so ship empty
-        // payloads in the exact same order and fill the tables straight
-        // from the graph — the same rows the messages would carry.
-        let mut sends: Vec<Envelope<Wire<()>>> = Vec::new();
-        for (label, (bu, bv, bw)) in inst.triples.triples() {
-            let dst = NodeId::new(inst.triples.labeling().node_of(label));
+        // message's (src, dst, bits) in submission order, so charge that
+        // stream and fill the tables straight from the graph — the same
+        // rows the messages would carry.
+        let triples = &inst.triples;
+        let labels = 0..triples.labeling().label_count();
+        net.charge_route_stream(labels.flat_map(|label| {
+            let (bu, bv, bw) = triples.decode(label);
+            let dst = triples.labeling().node_of(label);
             let row_bits = wb * inst.parts.fine.block(bw).len() as u64;
-            for a in inst.parts.coarse.block(bu) {
-                sends.push(Envelope::new(NodeId::new(a), dst, Wire::new((), row_bits)));
-            }
-            for b in inst.parts.coarse.block(bv) {
-                sends.push(Envelope::new(NodeId::new(b), dst, Wire::new((), row_bits)));
-            }
-        }
-        net.route(sends)?;
+            inst.parts
+                .coarse
+                .block(bu)
+                .chain(inst.parts.coarse.block(bv))
+                .map(move |a| (a, dst, row_bits))
+        }));
 
         let label_count = inst.triples.labeling().label_count();
         let mut uw: Vec<Vec<Option<i64>>> = Vec::with_capacity(label_count);

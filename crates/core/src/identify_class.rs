@@ -79,6 +79,9 @@ pub fn identify_class<R: Rng>(
     let n = inst.n();
     let p = inst.params.identify_probability(n);
     let abort_bound = inst.params.identify_abort_bound(n);
+    // Close the previous phase before the host-side sampling, so its wall
+    // time is not attributed to that phase; the sampling sends nothing.
+    net.end_phase();
 
     // Step 1: each vertex u samples its S-partners.
     let mut per_vertex: Vec<Vec<(usize, i64)>> = vec![Vec::new(); n];

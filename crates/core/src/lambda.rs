@@ -98,6 +98,9 @@ pub fn build_lambda_cover<R: Rng>(
     let p = inst.params.lambda_probability(n);
     let cap = inst.params.balance_cap(n);
     let label_count = inst.searches.labeling().label_count();
+    // The phase opens before the host-side sampling so its wall time is
+    // attributed here; the sampling itself sends nothing.
+    net.begin_phase("compute-pairs/step2-abort-consensus");
 
     // Pair universes are shared across the √n labels of each (u, v).
     let q = inst.parts.coarse.num_blocks();
@@ -151,7 +154,6 @@ pub fn build_lambda_cover<R: Rng>(
     }
     // Abort consensus (the paper's "the protocol is aborted" needs every
     // node to learn the flag): one gather-and-broadcast, charged.
-    net.begin_phase("compute-pairs/step2-abort-consensus");
     let any_violation = net.agree_any(&flags)?;
     if any_violation {
         let (label, observed) = violation.expect("flag implies a recorded violation");
@@ -162,44 +164,50 @@ pub fn build_lambda_cover<R: Rng>(
         });
     }
 
-    // Weight loading: each search node asks the owner (smaller endpoint) of
-    // every sampled pair for the weight, edge existence, and S-membership.
+    let kept = load_weights(inst, net, &sampled)?;
+    Ok(LambdaAttempt::Balanced(LambdaCover { kept, sampled }))
+}
+
+/// Loads the weights of every sampled pair: each search node asks the
+/// owner (smaller endpoint) of every sampled pair for the weight, edge
+/// existence, and S-membership over one Lemma-1 route, and the owners reply
+/// over a second. Returns the kept pairs per label, sorted.
+///
+/// On a transparent network both legs carry fixed-width wires whose
+/// contents are pure functions of the instance, so they are charged from
+/// their message streams ([`Clique::charge_route_stream`]) and the kept
+/// lists are assembled locally — byte-identical rounds, metrics, and
+/// traces.
+fn load_weights(
+    inst: &Instance<'_>,
+    net: &mut Clique,
+    sampled: &[Vec<(usize, usize)>],
+) -> Result<Vec<Vec<KeptPair>>, CongestError> {
+    let n = inst.n();
+    let labeling = inst.searches.labeling();
     let pb = pair_bits(n);
     let wb = weight_bits(inst.weight_magnitude());
+    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); sampled.len()];
     net.begin_phase("compute-pairs/step2-requests");
-
-    // Transparent networks with large routes: both legs carry fixed-width
-    // wires whose contents are pure functions of the instance, so the
-    // routes can be charged from per-link tallies and the kept lists
-    // assembled locally — byte-identical rounds, metrics, and traces.
-    let mut charged = false;
     if net.is_transparent() {
-        let mut query_links = vec![0u32; n * n];
+        // Requests leave in label order.
+        net.charge_route_stream(sampled.iter().enumerate().flat_map(|(label, picked)| {
+            let src = labeling.node_of(label);
+            picked.iter().map(move |&(u, _v)| (src, u, pb))
+        }));
+        // Each owner answers its inbox, which is ordered by asker, so the
+        // replies leave in (owner, asker) order: the order of this tally.
+        let mut reply_links = vec![0u32; n * n];
         for (label, picked) in sampled.iter().enumerate() {
-            let src = inst.searches.labeling().node_of(label);
+            let src = labeling.node_of(label);
             for &(u, _v) in picked {
-                query_links[src * n + u] += 1;
+                reply_links[u * n + src] += 1;
             }
         }
-        if net.charge_route_tally(&query_links, pb).is_some() {
-            net.begin_phase("compute-pairs/step2-responses");
-            let mut reply_links = vec![0u32; n * n];
-            for (label, picked) in sampled.iter().enumerate() {
-                let src = inst.searches.labeling().node_of(label);
-                for &(u, _v) in picked {
-                    reply_links[u * n + src] += 1;
-                }
-            }
-            // Replies are wider than queries over the same links, so they
-            // carry at least as many units and stay past the schedule limit.
-            net.charge_route_tally(&reply_links, pb + wb + 2)
-                .expect("reply leg has at least as many units as the charged query leg");
-            charged = true;
-        }
-    }
-
-    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); label_count];
-    if charged {
+        net.begin_phase("compute-pairs/step2-responses");
+        net.charge_route_stream(reply_links.iter().enumerate().flat_map(|(link, &count)| {
+            std::iter::repeat_n((link / n, link % n, pb + wb + 2), count as usize)
+        }));
         // Owner answers computed in place of the routed replies. A dense
         // S-membership mask replaces the per-pair ordered-set lookup.
         let mut in_s = vec![false; n * n];
@@ -220,7 +228,7 @@ pub fn build_lambda_cover<R: Rng>(
     } else {
         let mut requests: Vec<Envelope<Wire<(usize, usize, usize)>>> = Vec::new();
         for (label, picked) in sampled.iter().enumerate() {
-            let src = NodeId::new(inst.searches.labeling().node_of(label));
+            let src = NodeId::new(labeling.node_of(label));
             for &(u, v) in picked {
                 requests.push(Envelope::new(
                     src,
@@ -252,7 +260,7 @@ pub fn build_lambda_cover<R: Rng>(
         for node in NodeId::all(n) {
             for (_owner, msg) in response_boxes.of(node) {
                 let (label, u, v, weight, in_s) = msg.value;
-                debug_assert_eq!(inst.searches.labeling().node_of(label), node.index());
+                debug_assert_eq!(labeling.node_of(label), node.index());
                 if let (Some(w), true) = (weight, in_s) {
                     kept[label].push(KeptPair { u, v, weight: w });
                 }
@@ -264,8 +272,7 @@ pub fn build_lambda_cover<R: Rng>(
     for list in &mut kept {
         list.sort_by_key(|kp| (kp.u, kp.v));
     }
-
-    Ok(LambdaAttempt::Balanced(LambdaCover { kept, sampled }))
+    Ok(kept)
 }
 
 /// Builds a *deterministic* covering instead of the randomized one: each
@@ -286,7 +293,6 @@ pub fn build_deterministic_cover(
     inst: &Instance<'_>,
     net: &mut Clique,
 ) -> Result<LambdaCover, CongestError> {
-    let n = inst.n();
     let s = inst.parts.fine.num_blocks();
     let label_count = inst.searches.labeling().label_count();
     let mut sampled: Vec<Vec<(usize, usize)>> = vec![Vec::new(); label_count];
@@ -298,49 +304,7 @@ pub fn build_deterministic_cover(
         sampled[label] = universe[start..end].to_vec();
     }
 
-    // Weight loading, identical to the randomized path.
-    let pb = pair_bits(n);
-    let wb = weight_bits(inst.weight_magnitude());
-    net.begin_phase("compute-pairs/step2-requests");
-    let mut requests: Vec<Envelope<Wire<(usize, usize, usize)>>> = Vec::new();
-    for (label, picked) in sampled.iter().enumerate() {
-        let src = NodeId::new(inst.searches.labeling().node_of(label));
-        for &(u, v) in picked {
-            requests.push(Envelope::new(
-                src,
-                NodeId::new(u),
-                Wire::new((label, u, v), pb),
-            ));
-        }
-    }
-    let request_boxes = net.route(requests)?;
-    net.begin_phase("compute-pairs/step2-responses");
-    let mut responses: Vec<Envelope<Wire<(usize, usize, usize, Option<i64>, bool)>>> = Vec::new();
-    for owner in NodeId::all(n) {
-        for (asker, msg) in request_boxes.of(owner) {
-            let (label, u, v) = msg.value;
-            let weight = inst.graph.weight(u, v).finite();
-            let in_s = inst.s.contains(u, v);
-            responses.push(Envelope::new(
-                owner,
-                *asker,
-                Wire::new((label, u, v, weight, in_s), pb + wb + 2),
-            ));
-        }
-    }
-    let response_boxes = net.route(responses)?;
-    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); label_count];
-    for node in NodeId::all(n) {
-        for (_owner, msg) in response_boxes.of(node) {
-            let (label, u, v, weight, in_s) = msg.value;
-            if let (Some(w), true) = (weight, in_s) {
-                kept[label].push(KeptPair { u, v, weight: w });
-            }
-        }
-    }
-    for list in &mut kept {
-        list.sort_by_key(|kp| (kp.u, kp.v));
-    }
+    let kept = load_weights(inst, net, &sampled)?;
     Ok(LambdaCover { kept, sampled })
 }
 
