@@ -5,20 +5,21 @@
 //! clique and the self-verifying driver runs APSP on each cell. The
 //! claim: behind the reliable envelope and the driver's certificate,
 //! every cell either returns the exact Floyd–Warshall matrix or fails
-//! with a *typed* outcome (a crashed node exhausts verification) —
-//! faults cost rounds and retries, never silent wrong answers. The
+//! with a *typed* outcome (a crashed node ends the first attempt with
+//! `NodeCrashed`; a reseeded retry would crash it again) — faults cost
+//! rounds and retries, never silent wrong answers. The
 //! table reports attempts, fallback use, and the round overhead
 //! relative to the fault-free cell of the same seed.
 //!
 //! Usage: `exp_fault_sweep [--smoke] [--trace FILE]`
 //!
 //! Exits 1 if any cell's matrix disagrees with Floyd–Warshall, a lossy
-//! (non-crash) cell fails verification, or a crash cell fails with
-//! anything other than a typed error — this binary doubles as the CI
-//! fault-sweep gate.
+//! (non-crash) cell fails, or a crash cell fails with any root cause
+//! other than `NodeCrashed` — this binary doubles as the CI fault-sweep
+//! gate.
 
-use qcc_apsp::{apsp_driver, ApspAlgorithm, ApspError, DriverConfig};
-use qcc_bench::{banner, take_trace_flag, Table};
+use qcc_apsp::{apsp_driver, ApspAlgorithm, DriverConfig};
+use qcc_bench::{banner, crash_is_root_cause, take_trace_flag, Table};
 use qcc_congest::{FaultPlan, NetConfig};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph};
 use rand::rngs::StdRng;
@@ -56,8 +57,8 @@ fn main() {
     };
     let corrupts: &[f64] = &[0.0, 0.01];
     let dups: &[f64] = if smoke { &[0.0] } else { &[0.0, 0.02] };
-    // Fail-stop cells ride on the mid drop rate: an immediate crash can
-    // never certify (typed failure), a crash far beyond the round budget
+    // Fail-stop cells ride on the mid drop rate: an immediate crash fails
+    // typed (`NodeCrashed`), a crash far beyond the round budget
     // behaves like no crash at all (exact matrix).
     let crashes: &[Option<(usize, u64)>] = if smoke {
         &[None, Some((1, 0))]
@@ -151,29 +152,24 @@ fn main() {
                                 }
                                 // A typed failure is an honest cell — but
                                 // only crash plans are allowed to produce
-                                // one; the envelope must mask pure rates.
-                                Err(e @ ApspError::VerificationFailed { .. }) => {
-                                    let ok = crash.is_some();
-                                    if !ok {
-                                        eprintln!(
-                                            "exp_fault_sweep: [{spec}] seed={seed}: \
-                                             unexpected failure: {e}"
-                                        );
-                                    }
+                                // one (the envelope must mask pure rates),
+                                // and its root cause must be the crash.
+                                Err(e) if crash.is_some() && crash_is_root_cause(&e) => (
                                     (
-                                        (
-                                            "-".into(),
-                                            "-".into(),
-                                            "false".into(),
-                                            "-".into(),
-                                            "-".into(),
-                                            "typed-failure".into(),
-                                        ),
-                                        ok,
-                                    )
-                                }
+                                        "-".into(),
+                                        "-".into(),
+                                        "false".into(),
+                                        "-".into(),
+                                        "-".into(),
+                                        "node-crashed".into(),
+                                    ),
+                                    true,
+                                ),
                                 Err(e) => {
-                                    eprintln!("exp_fault_sweep: [{spec}] seed={seed}: {e}");
+                                    eprintln!(
+                                        "exp_fault_sweep: [{spec}] seed={seed}: \
+                                         unexpected failure: {e}"
+                                    );
                                     (
                                         (
                                             "-".into(),
@@ -219,7 +215,7 @@ fn main() {
     }
     println!(
         "\n(every cell returned the exact Floyd-Warshall matrix or a typed failure;\n\
-         rate faults buy retransmit waves and verification products, fail-stop\n\
-         crashes exhaust verification honestly - never silent wrong answers)"
+         rate faults buy retransmit waves and verification products, a fail-stop\n\
+         crash ends the first attempt it hits, typed - never silent wrong answers)"
     );
 }

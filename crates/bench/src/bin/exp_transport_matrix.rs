@@ -15,18 +15,21 @@
 //!
 //! The point of the grid: none of the three mechanisms is allowed to
 //! degrade into a silent wrong answer. Lossy cells must survive with
-//! the exact matrix; crash cells must fail with a typed error.
+//! the exact matrix; crash cells must fail on their first attempt with
+//! `NodeCrashed` as the root cause, on every transport.
 //!
 //! Usage: `exp_transport_matrix [--smoke] [--out PATH] [--trace FILE]`
 //!
 //! Exit codes: 0 on success; 1 when any surviving cell's matrix
 //! disagrees with Floyd–Warshall, a non-crash cell fails outright, or a
-//! crash cell produces an untyped outcome; 2 on usage errors.
+//! crash cell fails with any root cause other than `NodeCrashed`; 2 on
+//! usage errors.
 
 use qcc_apsp::{
-    apsp_driver, gossip_apsp, ApspAlgorithm, DriverConfig, GossipApspConfig, GossipApspReport,
+    apsp_driver, gossip_apsp, ApspAlgorithm, ApspError, DriverConfig, GossipApspConfig,
+    GossipApspReport,
 };
-use qcc_bench::{banner, take_trace_flag, Table};
+use qcc_bench::{banner, crash_is_root_cause, take_trace_flag, Table};
 use qcc_congest::{FaultPlan, NetConfig, NodeId, TopologySpec};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph, WeightMatrix};
 use rand::rngs::StdRng;
@@ -163,7 +166,7 @@ fn main() {
                 // uncoded flooding, which is exactly the comparison the
                 // gossip column is priced against.
                 let on_clique = matches!(topo, TopologySpec::Clique);
-                let (mechanism, result): (&'static str, Result<CellRun, String>) =
+                let (mechanism, result): (&'static str, Result<CellRun, ApspError>) =
                     if transport == "envelope" && on_clique {
                         let cfg = DriverConfig {
                             algorithm: ApspAlgorithm::NaiveBroadcast,
@@ -173,15 +176,13 @@ fn main() {
                         let mut run_rng = StdRng::seed_from_u64(seed);
                         (
                             "ack-retransmit",
-                            apsp_driver(&g, &cfg, &mut run_rng, sink.as_ref())
-                                .map(|out| CellRun {
-                                    distances: out.report.distances,
-                                    verified: out.verified,
-                                    rounds: out.total_rounds,
-                                    attempts: out.attempts.len() as u64,
-                                    gossip: None,
-                                })
-                                .map_err(|e| e.to_string()),
+                            apsp_driver(&g, &cfg, &mut run_rng, sink.as_ref()).map(|out| CellRun {
+                                distances: out.report.distances,
+                                verified: out.verified,
+                                rounds: out.total_rounds,
+                                attempts: out.attempts.len() as u64,
+                                gossip: None,
+                            }),
                         )
                     } else {
                         let chunks = if transport == "envelope" { 1 } else { 8 };
@@ -194,15 +195,12 @@ fn main() {
                             topology: topo,
                             chunks,
                             max_retries: 3,
-                            verify: true,
                             net: net.clone(),
                             seed,
                         };
                         (
                             mech,
-                            gossip_apsp(&g, &cfg, sink.as_ref())
-                                .map(CellRun::from_gossip)
-                                .map_err(|e| e.to_string()),
+                            gossip_apsp(&g, &cfg, sink.as_ref()).map(CellRun::from_gossip),
                         )
                     };
 
@@ -233,7 +231,9 @@ fn main() {
                         }
                     }
                     Err(e) => {
-                        if expect_survival {
+                        // Every transport must name the same root cause for
+                        // a fail-stop crash, and nothing else may fail.
+                        if expect_survival || !crash_is_root_cause(&e) {
                             eprintln!(
                                 "exp_transport_matrix: [{topo_label}/{transport}] [{spec}]: \
                                  unexpected failure: {e}"
@@ -247,7 +247,7 @@ fn main() {
                             faults: spec,
                             success: false,
                             verified: false,
-                            error: Some(e),
+                            error: Some(e.to_string()),
                             rounds: None,
                             attempts: None,
                             wasted_packets: None,
@@ -323,8 +323,9 @@ fn main() {
     }
     println!(
         "\n(all surviving cells returned the exact Floyd-Warshall matrix; crash\n\
-         cells failed with typed errors; gossip cells priced their redundancy\n\
-         as wasted bandwidth - degradation is graceful, never silent)"
+         cells failed with NodeCrashed on every transport; gossip cells priced\n\
+         their redundancy as wasted bandwidth - degradation is graceful, never\n\
+         silent)"
     );
 }
 

@@ -157,6 +157,20 @@ pub fn take_trace_flag(args: &mut Vec<String>) -> Result<Option<qcc_congest::Tra
         .map_err(|e| format!("cannot create trace file {path}: {e}"))
 }
 
+/// `true` iff a fail-stop crash is the root cause of `e`: the fault-sweep
+/// and transport-matrix gates require it of every crash cell.
+pub fn crash_is_root_cause(e: &qcc_apsp::ApspError) -> bool {
+    use qcc_apsp::ApspError;
+    let root = match e {
+        ApspError::Faulted { source, .. } => source.as_ref(),
+        other => other,
+    };
+    matches!(
+        root,
+        ApspError::Congest(qcc_congest::CongestError::NodeCrashed { .. })
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -316,16 +316,20 @@ impl FaultState {
     }
 
     /// Marks nodes whose crash round has been reached; returns how many
-    /// crashed just now (each is recorded as one `crash` fault).
+    /// crashed just now (each is recorded as one `crash` fault). A crash
+    /// naming a node outside this network is ignored: one plan serves
+    /// networks of different sizes (the quantum pipeline's virtual network
+    /// has `3n` nodes, its verifier's `n`).
     pub(crate) fn update_crashes(&mut self, rounds_so_far: u64) -> u64 {
         let mut newly = 0;
         for &(node, round) in &self.plan.crashes {
             if rounds_so_far >= round {
-                let slot = &mut self.crashed[node.index()];
-                if !*slot {
-                    *slot = true;
-                    self.any_crashed = true;
-                    newly += 1;
+                if let Some(slot) = self.crashed.get_mut(node.index()) {
+                    if !*slot {
+                        *slot = true;
+                        self.any_crashed = true;
+                        newly += 1;
+                    }
                 }
             }
         }
@@ -333,7 +337,7 @@ impl FaultState {
     }
 
     pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
-        self.any_crashed && self.crashed[node.index()]
+        self.any_crashed && self.crashed.get(node.index()).is_some_and(|&c| c)
     }
 
     /// The deterministic fate of message `idx` of the current call on the
@@ -599,6 +603,18 @@ mod tests {
         assert!(s.is_crashed(NodeId::new(2)));
         // Only counted once.
         assert_eq!(s.update_crashes(11), 0);
+    }
+
+    #[test]
+    fn crashes_outside_the_network_are_ignored() {
+        let plan = FaultPlan {
+            crashes: vec![(NodeId::new(9), 0), (NodeId::new(1), 0)],
+            ..FaultPlan::default()
+        };
+        let mut s = FaultState::new(plan, 4);
+        assert_eq!(s.update_crashes(0), 1);
+        assert!(s.is_crashed(NodeId::new(1)));
+        assert!(!s.is_crashed(NodeId::new(9)));
     }
 
     #[test]

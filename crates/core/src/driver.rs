@@ -31,6 +31,7 @@
 
 use crate::apsp::{apsp_configured, ApspAlgorithm, ApspReport};
 use crate::baselines::{semiring_apsp_configured, semiring_distance_product};
+use crate::las_vegas::{charged, las_vegas, Try};
 use crate::params::Params;
 use crate::ApspError;
 use qcc_congest::{Clique, NetConfig, ReliableConfig, TraceSink};
@@ -125,8 +126,9 @@ pub struct DriverReport {
 ///
 /// # Errors
 ///
-/// * Non-retryable errors ([`ApspError::NegativeCycle`], dimension and
-///   addressing bugs) propagate immediately — retrying cannot help.
+/// * Non-retryable errors ([`ApspError::NegativeCycle`], a fail-stop
+///   crash, dimension and addressing bugs) propagate immediately, fallback
+///   included — retrying cannot help.
 /// * [`ApspError::VerificationFailed`] when no attempt (fallback
 ///   included) produced a matrix that passes the certificate.
 /// * The last typed error when the budget runs out under
@@ -158,14 +160,7 @@ pub fn apsp_driver<R: Rng>(
     rng: &mut R,
     trace: Option<&TraceSink>,
 ) -> Result<DriverReport, ApspError> {
-    if let Some(sink) = trace {
-        sink.open_span("driver");
-    }
-    let result = drive(g, cfg, rng, trace);
-    if let Some(sink) = trace {
-        sink.close_span();
-    }
-    result
+    spanned(trace, "driver", || drive(g, cfg, rng, trace))
 }
 
 fn drive<R: Rng>(
@@ -174,169 +169,57 @@ fn drive<R: Rng>(
     rng: &mut R,
     trace: Option<&TraceSink>,
 ) -> Result<DriverReport, ApspError> {
-    let mut attempts: Vec<AttemptRecord> = Vec::new();
-    let mut total_rounds = 0u64;
-    let mut last_error: Option<ApspError> = None;
-
-    for attempt in 0..=cfg.max_retries {
-        let netcfg = cfg.net.reseeded(u64::from(attempt));
-        if let Some(sink) = trace {
-            sink.open_span(&format!("attempt-{attempt}"));
+    let attempt = |k: u32| {
+        let netcfg = cfg.net.reseeded(u64::from(k));
+        let run = spanned(trace, &format!("attempt-{k}"), || {
+            apsp_configured(g, cfg.params, cfg.algorithm, rng, trace, &netcfg)
+        });
+        charged(run, |report| report.rounds)
+    };
+    let certify_try = |at: Try, report: &ApspReport| {
+        cfg.verify.then(|| {
+            let netcfg = hardened(&cfg.net, VERIFY_SALT + u64::from(at.index));
+            certify(g, &report.distances, &netcfg, trace, &at.label("verify"))
+        })
+    };
+    // The last resort: the classical semiring baseline under a forced
+    // reliable envelope, verified like any other attempt.
+    let fallback = (cfg.fallback == FallbackPolicy::Semiring).then_some(|| {
+        let netcfg = hardened(&cfg.net, FALLBACK_SALT);
+        let run = spanned(trace, "fallback", || {
+            semiring_apsp_configured(g, cfg.params.worker_threads(), trace, &netcfg)
+        });
+        charged(run, |report| report.rounds)
+    });
+    let run = las_vegas(cfg.max_retries, attempt, certify_try, fallback, |t| {
+        AttemptRecord {
+            attempt: t.at.index,
+            algorithm: t.output.map_or(cfg.algorithm, |report| report.algorithm),
+            rounds: t.rounds,
+            verified: t.verified,
+            error: t.error,
+            fallback: t.at.fallback,
         }
-        let run = apsp_configured(g, cfg.params, cfg.algorithm, rng, trace, &netcfg);
-        if let Some(sink) = trace {
-            sink.close_span();
-        }
-        match run {
-            Ok(report) => {
-                let mut rounds = report.rounds;
-                let verdict = if cfg.verify {
-                    match certify(
-                        g,
-                        &report.distances,
-                        &hardened(&cfg.net, VERIFY_SALT + u64::from(attempt)),
-                        trace,
-                        &format!("verify-{attempt}"),
-                    ) {
-                        Ok((ok, vrounds)) => {
-                            rounds += vrounds;
-                            Some(ok)
-                        }
-                        Err(e) => {
-                            // The verifier itself lost its messages: the
-                            // attempt proves nothing either way. Treat it
-                            // like a failed run and retry.
-                            rounds += e.rounds_charged();
-                            total_rounds += rounds;
-                            attempts.push(AttemptRecord {
-                                attempt,
-                                algorithm: report.algorithm,
-                                rounds,
-                                verified: None,
-                                error: Some(e.to_string()),
-                                fallback: false,
-                            });
-                            if !e.is_retryable() {
-                                return Err(e);
-                            }
-                            last_error = Some(e);
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                total_rounds += rounds;
-                attempts.push(AttemptRecord {
-                    attempt,
-                    algorithm: report.algorithm,
-                    rounds,
-                    verified: verdict,
-                    error: None,
-                    fallback: false,
-                });
-                if verdict.unwrap_or(true) {
-                    return Ok(DriverReport {
-                        report,
-                        attempts,
-                        total_rounds,
-                        verified: verdict.unwrap_or(false),
-                        used_fallback: false,
-                    });
-                }
-            }
-            Err(e) => {
-                let rounds = e.rounds_charged();
-                total_rounds += rounds;
-                attempts.push(AttemptRecord {
-                    attempt,
-                    algorithm: cfg.algorithm,
-                    rounds,
-                    verified: None,
-                    error: Some(e.to_string()),
-                    fallback: false,
-                });
-                if !e.is_retryable() {
-                    return Err(e);
-                }
-                last_error = Some(e);
-            }
-        }
-    }
-
-    match cfg.fallback {
-        FallbackPolicy::Fail => match last_error {
-            Some(e) => Err(e),
-            None => Err(ApspError::VerificationFailed {
-                attempts: attempts.len() as u32,
-            }),
-        },
-        FallbackPolicy::Semiring => {
-            fallback(g, cfg, trace, attempts, total_rounds).map_err(|e| match e {
-                // The fallback's own failure still means "nothing verified".
-                e if e.is_retryable() => ApspError::VerificationFailed {
-                    attempts: cfg.max_retries + 2,
-                },
-                e => e,
-            })
-        }
-    }
+    })?;
+    Ok(DriverReport {
+        report: run.output,
+        attempts: run.history,
+        total_rounds: run.total_rounds,
+        verified: run.verified.unwrap_or(false),
+        used_fallback: run.used_fallback,
+    })
 }
 
-/// The last resort: the classical semiring baseline under a forced
-/// reliable envelope, verified like any other attempt.
-fn fallback(
-    g: &DiGraph,
-    cfg: &DriverConfig,
-    trace: Option<&TraceSink>,
-    mut attempts: Vec<AttemptRecord>,
-    mut total_rounds: u64,
-) -> Result<DriverReport, ApspError> {
-    let attempt = cfg.max_retries + 1;
-    let netcfg = hardened(&cfg.net, FALLBACK_SALT);
+/// Runs `f` inside a trace span labelled `label` (when tracing).
+pub(crate) fn spanned<T>(trace: Option<&TraceSink>, label: &str, f: impl FnOnce() -> T) -> T {
     if let Some(sink) = trace {
-        sink.open_span("fallback");
+        sink.open_span(label);
     }
-    let run = semiring_apsp_configured(g, cfg.params.worker_threads(), trace, &netcfg);
+    let out = f();
     if let Some(sink) = trace {
         sink.close_span();
     }
-    let report = run?;
-    let mut rounds = report.rounds;
-    let verdict = if cfg.verify {
-        let (ok, vrounds) = certify(
-            g,
-            &report.distances,
-            &hardened(&cfg.net, VERIFY_SALT + u64::from(attempt)),
-            trace,
-            "verify-fallback",
-        )?;
-        rounds += vrounds;
-        Some(ok)
-    } else {
-        None
-    };
-    total_rounds += rounds;
-    attempts.push(AttemptRecord {
-        attempt,
-        algorithm: report.algorithm,
-        rounds,
-        verified: verdict,
-        error: None,
-        fallback: true,
-    });
-    if verdict == Some(false) {
-        return Err(ApspError::VerificationFailed {
-            attempts: attempts.len() as u32,
-        });
-    }
-    Ok(DriverReport {
-        report,
-        attempts,
-        total_rounds,
-        verified: verdict.unwrap_or(false),
-        used_fallback: true,
-    })
+    out
 }
 
 /// The verifier's network config: same fault plan (reseeded by `salt`),

@@ -83,22 +83,24 @@ impl ApspError {
     }
 
     /// True for failures that a fresh attempt with new randomness can
-    /// plausibly avoid: injected faults that broke through the envelope and
-    /// unlucky randomized-stage aborts. Addressing bugs, bad inputs, and
-    /// verification exhaustion are not retryable.
+    /// plausibly avoid: random faults that broke through the envelope and
+    /// unlucky randomized-stage aborts. Addressing bugs, bad inputs,
+    /// verification exhaustion and fail-stop crashes are not retryable: a
+    /// reseeded fault plan keeps its crash schedule, so the same node
+    /// crashes again on every retry.
     #[must_use]
     pub fn is_retryable(&self) -> bool {
-        match self {
-            ApspError::Congest(
-                CongestError::DeliveryFailed { .. }
-                | CongestError::NodeCrashed { .. }
-                | CongestError::DecodeFailed { .. },
-            ) => true,
-            ApspError::StageAborted { .. } => true,
-            ApspError::Internal { .. } => true,
-            ApspError::Faulted { source, .. } => source.is_retryable(),
-            _ => false,
+        let mut root = self;
+        while let ApspError::Faulted { source, .. } = root {
+            root = source;
         }
+        matches!(
+            root,
+            ApspError::Congest(
+                CongestError::DeliveryFailed { .. } | CongestError::DecodeFailed { .. }
+            ) | ApspError::StageAborted { .. }
+                | ApspError::Internal { .. }
+        )
     }
 }
 
@@ -243,5 +245,12 @@ mod tests {
         assert!(
             !ApspError::Congest(CongestError::Partitioned { reachable: 1, n: 2 }).is_retryable()
         );
+        // A fail-stop crash refires on every reseeded retry, wrapped or not.
+        let crash = ApspError::Congest(CongestError::NodeCrashed {
+            node: NodeId::new(1),
+            phase: "p".into(),
+        });
+        assert!(!crash.is_retryable());
+        assert!(!ApspError::faulted(46, crash).is_retryable());
     }
 }

@@ -32,18 +32,19 @@
 //!
 //! ## The Las-Vegas loop
 //!
-//! Like the APSP driver, the search stage is wrapped in attempt → certify
-//! → retry → fallback: a claimed extremum `(v, x)` is checked by
-//! broadcasting it and letting every node flag a violation (its own value
-//! is strictly better, or it is the claimed witness and disagrees), then
-//! [`Clique::agree_any`]. Faults only ever *discard* messages (corruption
+//! The search stage runs the APSP driver's own attempt → certify → retry
+//! → fallback loop (`crate::las_vegas`): a claimed extremum `(v, x)` is
+//! checked by broadcasting it and letting every node flag a violation
+//! (its own value is strictly better, or it is the claimed witness and
+//! disagrees), then [`Clique::agree_any`]. Faults only ever *discard* messages (corruption
 //! is detected-and-dropped), so a search can stall or lose answers but
 //! never deliver a mangled value — the certificate catches exactly the
 //! failures that can occur. The verifier and the classical fallback always
 //! run over a hardened reliable envelope.
 
 use crate::apsp::{apsp_configured, ApspAlgorithm};
-use crate::driver::{apsp_driver, hardened, DriverConfig, FallbackPolicy};
+use crate::driver::{apsp_driver, hardened, spanned, DriverConfig, FallbackPolicy};
+use crate::las_vegas::{charged, las_vegas, Accepted, Charged, Try};
 use crate::params::Params;
 use crate::ApspError;
 use qcc_congest::{Clique, Envelope, NetConfig, NodeId, TraceSink};
@@ -643,6 +644,8 @@ fn gather_eccentricities(
 /// # Errors
 ///
 /// * Propagated APSP errors from the distance stage.
+/// * Non-retryable errors of the search stage (a fail-stop crash among
+///   them), at once.
 /// * [`ApspError::VerificationFailed`] when no search attempt (fallback
 ///   included) produced a certified extremum.
 /// * The last typed error when the budget runs out under
@@ -672,14 +675,9 @@ pub fn distance_params<R: Rng>(
     rng: &mut R,
     trace: Option<&TraceSink>,
 ) -> Result<DistanceParamReport, ApspError> {
-    if let Some(sink) = trace {
-        sink.open_span("distance-param");
-    }
-    let result = run_distance_params(g, cfg, rng, trace);
-    if let Some(sink) = trace {
-        sink.close_span();
-    }
-    result
+    spanned(trace, "distance-param", || {
+        run_distance_params(g, cfg, rng, trace)
+    })
 }
 
 fn run_distance_params<R: Rng>(
@@ -726,9 +724,9 @@ fn run_distance_params<R: Rng>(
 
     let value = match cfg.param {
         DistanceParam::Eccentricities => diameter_of(&ecc).expect("n > 0"),
-        _ => stage.value,
+        _ => stage.output.value,
     };
-    let total_rounds = distance_rounds + stage.rounds;
+    let total_rounds = distance_rounds + stage.total_rounds;
     Ok(DistanceParamReport {
         param: cfg.param,
         n: g.n(),
@@ -736,15 +734,17 @@ fn run_distance_params<R: Rng>(
         value,
         witness: match cfg.param {
             DistanceParam::Eccentricities => None,
-            _ => Some(stage.index),
+            _ => Some(stage.output.index),
         },
         connected,
         distance_rounds,
-        search_rounds: stage.rounds,
+        search_rounds: stage.total_rounds,
         total_rounds,
-        evaluations: stage.evaluations,
-        search_attempts: stage.attempts,
-        verified: cfg.verify && apsp_verified_or_plain(cfg, apsp_verified) && stage.verified,
+        evaluations: stage.output.evaluations,
+        search_attempts: stage.history,
+        verified: cfg.verify
+            && apsp_verified_or_plain(cfg, apsp_verified)
+            && stage.verified.unwrap_or(cfg.verify),
         used_fallback: apsp_fallback || stage.used_fallback,
     })
 }
@@ -759,255 +759,96 @@ fn apsp_verified_or_plain(cfg: &ExtremumConfig, apsp_verified: bool) -> bool {
     }
 }
 
-/// What one search-stage attempt actually runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SearchKind {
-    /// An extremum search with the given backend.
-    Extremum(ExtremumBackend),
-    /// The full-vector gather (no claim, nothing to certify).
-    Gather,
-}
-
-/// Accumulated outcome of the search stage's Las-Vegas loop.
-struct StageOutcome {
-    index: usize,
-    value: ExtWeight,
-    evaluations: u64,
-    rounds: u64,
-    attempts: Vec<SearchAttempt>,
-    verified: bool,
-    used_fallback: bool,
-}
-
+/// The search stage's Las-Vegas loop: the chosen backend (or, for the
+/// full-vector parameter, the gather) per attempt, the distributed
+/// extremum certificate, and the classical scan (or gather) under a
+/// hardened envelope as the fallback.
 fn search_stage<R: Rng>(
     ecc: &[ExtWeight],
     maximize: bool,
     cfg: &ExtremumConfig,
     rng: &mut R,
     trace: Option<&TraceSink>,
-) -> Result<StageOutcome, ApspError> {
-    let mut attempts: Vec<SearchAttempt> = Vec::new();
-    let mut total_rounds = 0u64;
-    let mut last_error: Option<ApspError> = None;
-    let kind = if cfg.param == DistanceParam::Eccentricities {
-        SearchKind::Gather
-    } else {
-        SearchKind::Extremum(cfg.backend)
-    };
-
-    for attempt in 0..=cfg.max_retries {
-        let label = format!("ext-attempt-{attempt}");
-        let netcfg = cfg.net.reseeded(SEARCH_SALT + u64::from(attempt));
-        let run = run_search(
-            ecc,
-            maximize,
-            kind,
-            cfg.stage_attempts,
+) -> Result<Accepted<NetworkExtremumOutcome, SearchAttempt>, ApspError> {
+    // The full-vector gather makes no claim, so there is nothing to certify.
+    let gather = cfg.param == DistanceParam::Eccentricities;
+    let attempt = |k: u32| {
+        let netcfg = cfg.net.reseeded(SEARCH_SALT + u64::from(k));
+        run_search(
+            ecc.len(),
             &netcfg,
-            rng,
             trace,
-            &label,
-        );
-        match run {
-            Ok(out) => {
-                let mut rounds = out.rounds;
-                let verdict = if cfg.verify && cfg.param != DistanceParam::Eccentricities {
-                    match certify_extremum(
-                        ecc,
-                        out.index,
-                        out.value,
-                        maximize,
-                        &hardened(&cfg.net, SEARCH_VERIFY_SALT + u64::from(attempt)),
-                        trace,
-                        &format!("ext-verify-{attempt}"),
-                    ) {
-                        Ok((ok, vrounds)) => {
-                            rounds += vrounds;
-                            Some(ok)
-                        }
-                        Err(e) => {
-                            rounds += e.rounds_charged();
-                            total_rounds += rounds;
-                            attempts.push(SearchAttempt {
-                                attempt,
-                                backend: cfg.backend,
-                                rounds,
-                                evaluations: out.evaluations,
-                                verified: None,
-                                error: Some(e.to_string()),
-                                fallback: false,
-                            });
-                            if !e.is_retryable() {
-                                return Err(e);
-                            }
-                            last_error = Some(e);
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                total_rounds += rounds;
-                attempts.push(SearchAttempt {
-                    attempt,
-                    backend: cfg.backend,
-                    rounds,
-                    evaluations: out.evaluations,
-                    verified: verdict,
-                    error: None,
-                    fallback: false,
-                });
-                if verdict.unwrap_or(true) {
-                    return Ok(StageOutcome {
-                        index: out.index,
-                        value: out.value,
-                        evaluations: out.evaluations,
-                        rounds: total_rounds,
-                        attempts,
-                        verified: verdict.unwrap_or(cfg.verify),
-                        used_fallback: false,
-                    });
+            &format!("ext-attempt-{k}"),
+            |net| match (gather, cfg.backend) {
+                (true, _) => gather_eccentricities(ecc, net),
+                (false, ExtremumBackend::Quantum) => {
+                    network_extremum(ecc, maximize, cfg.stage_attempts, net, rng)
                 }
-            }
-            Err(e) => {
-                let rounds = e.rounds_charged();
-                total_rounds += rounds;
-                attempts.push(SearchAttempt {
-                    attempt,
-                    backend: cfg.backend,
-                    rounds,
-                    evaluations: 0,
-                    verified: None,
-                    error: Some(e.to_string()),
-                    fallback: false,
-                });
-                if !e.is_retryable() {
-                    return Err(e);
+                (false, ExtremumBackend::ClassicalScan) => {
+                    classical_extremum_scan(ecc, maximize, net)
                 }
-                last_error = Some(e);
-            }
-        }
-    }
-
-    match cfg.fallback {
-        FallbackPolicy::Fail => match last_error {
-            Some(e) => Err(e),
-            None => Err(ApspError::VerificationFailed {
-                attempts: attempts.len() as u32,
-            }),
-        },
-        FallbackPolicy::Semiring => {
-            // The last resort: the classical scan (or gather) under a
-            // forced reliable envelope, verified like any other attempt.
-            let attempt = cfg.max_retries + 1;
-            let netcfg = hardened(&cfg.net, SEARCH_FALLBACK_SALT);
-            let fb_kind = match kind {
-                SearchKind::Gather => SearchKind::Gather,
-                SearchKind::Extremum(_) => SearchKind::Extremum(ExtremumBackend::ClassicalScan),
-            };
-            let out = run_search(
-                ecc,
-                maximize,
-                fb_kind,
-                cfg.stage_attempts,
-                &netcfg,
-                rng,
-                trace,
-                "ext-fallback",
-            )
-            .map_err(|e| {
-                if e.is_retryable() {
-                    ApspError::VerificationFailed {
-                        attempts: attempt + 1,
-                    }
-                } else {
-                    e
-                }
-            })?;
-            let mut rounds = out.rounds;
-            let verdict = if cfg.verify && cfg.param != DistanceParam::Eccentricities {
-                let (ok, vrounds) = certify_extremum(
-                    ecc,
-                    out.index,
-                    out.value,
-                    maximize,
-                    &hardened(&cfg.net, SEARCH_VERIFY_SALT + u64::from(attempt)),
-                    trace,
-                    "ext-verify-fallback",
-                )?;
-                rounds += vrounds;
-                Some(ok)
+            },
+        )
+    };
+    let certify = |at: Try, out: &NetworkExtremumOutcome| {
+        (cfg.verify && !gather).then(|| {
+            let netcfg = hardened(&cfg.net, SEARCH_VERIFY_SALT + u64::from(at.index));
+            let label = at.label("ext-verify");
+            certify_extremum(ecc, out.index, out.value, maximize, &netcfg, trace, &label)
+        })
+    };
+    let fallback = (cfg.fallback == FallbackPolicy::Semiring).then_some(|| {
+        let netcfg = hardened(&cfg.net, SEARCH_FALLBACK_SALT);
+        run_search(ecc.len(), &netcfg, trace, "ext-fallback", |net| {
+            if gather {
+                gather_eccentricities(ecc, net)
             } else {
-                None
-            };
-            total_rounds += rounds;
-            attempts.push(SearchAttempt {
-                attempt,
-                backend: ExtremumBackend::ClassicalScan,
-                rounds,
-                evaluations: out.evaluations,
-                verified: verdict,
-                error: None,
-                fallback: true,
-            });
-            if verdict == Some(false) {
-                return Err(ApspError::VerificationFailed {
-                    attempts: attempts.len() as u32,
-                });
+                classical_extremum_scan(ecc, maximize, net)
             }
-            Ok(StageOutcome {
-                index: out.index,
-                value: out.value,
-                evaluations: out.evaluations,
-                rounds: total_rounds,
-                attempts,
-                verified: verdict.unwrap_or(cfg.verify),
-                used_fallback: true,
-            })
+        })
+    });
+    las_vegas(cfg.max_retries, attempt, certify, fallback, |t| {
+        SearchAttempt {
+            attempt: t.at.index,
+            backend: if t.at.fallback {
+                ExtremumBackend::ClassicalScan
+            } else {
+                cfg.backend
+            },
+            rounds: t.rounds,
+            evaluations: t.output.map_or(0, |out| out.evaluations),
+            verified: t.verified,
+            error: t.error,
+            fallback: t.at.fallback,
         }
-    }
+    })
 }
 
-/// Builds a fresh traced network under `netcfg`, runs one search attempt
-/// on it (the chosen backend's extremum walk, or the gather for the
-/// full-vector parameter), closes its spans, and wraps errors with the
-/// rounds already charged.
-#[allow(clippy::too_many_arguments)] // internal plumbing, two call sites
-fn run_search<R: Rng>(
-    ecc: &[ExtWeight],
-    maximize: bool,
-    kind: SearchKind,
-    stage_attempts: u32,
+/// Builds a fresh traced `n`-node network under `netcfg`, runs one search
+/// attempt on it inside a `label` span, closes its spans, and wraps errors
+/// with the rounds already charged.
+fn run_search(
+    n: usize,
     netcfg: &NetConfig,
-    rng: &mut R,
     trace: Option<&TraceSink>,
     label: &str,
-) -> Result<NetworkExtremumOutcome, ApspError> {
-    let mut net = Clique::new(ecc.len())?;
+    search: impl FnOnce(&mut Clique) -> Result<NetworkExtremumOutcome, ApspError>,
+) -> Charged<NetworkExtremumOutcome> {
+    let mut net = match Clique::new(n) {
+        Ok(net) => net,
+        Err(e) => return (0, Err(e.into())),
+    };
     if let Some(sink) = trace {
         net.set_trace_sink(sink.clone());
     }
     netcfg.apply(&mut net);
     net.push_span(label);
-    let result = match kind {
-        SearchKind::Extremum(ExtremumBackend::Quantum) => {
-            network_extremum(ecc, maximize, stage_attempts, &mut net, rng)
-        }
-        SearchKind::Extremum(ExtremumBackend::ClassicalScan) => {
-            classical_extremum_scan(ecc, maximize, &mut net)
-        }
-        SearchKind::Gather => gather_eccentricities(ecc, &mut net),
-    };
-    match result {
-        Ok(out) => {
-            net.close_all_spans();
-            Ok(out)
-        }
-        Err(e) => {
-            net.close_all_spans();
-            Err(ApspError::faulted(net.rounds(), e))
-        }
-    }
+    let result = search(&mut net);
+    net.close_all_spans();
+    charged(
+        result.map_err(|e| ApspError::faulted(net.rounds(), e)),
+        |out| out.rounds,
+    )
 }
 
 #[cfg(test)]

@@ -52,6 +52,7 @@ pub mod gather;
 pub mod identify_class;
 mod instance;
 pub mod lambda;
+mod las_vegas;
 mod params;
 mod problem;
 mod sampling;

@@ -11,17 +11,20 @@
 //! workload the transport matrix uses to compare coded redundancy
 //! against the clique's ack/retransmit envelope at matched fault rates.
 //!
-//! The Las-Vegas shape of [`crate::apsp_driver`] is preserved: attempts
-//! reseed the fault plan, and every surviving matrix passes the same
-//! three-part certificate (zero diagonal, `D ≤ A₀`, `D ⊗ D = D`) before
-//! it is accepted. The certificate is checked *locally* here — after a
+//! It runs the same Las-Vegas loop as [`crate::apsp_driver`], without a
+//! fallback: attempts reseed the fault plan, and every surviving matrix
+//! passes the same three-part certificate (zero diagonal, `D ≤ A₀`,
+//! `D ⊗ D = D`) before it is accepted. The certificate is checked *locally* here — after a
 //! successful gossip every node holds the entire graph, so the check
 //! needs no further communication — but it still rejects every
 //! overestimate, keeping "never a silently wrong matrix" independent of
 //! the transport's own correctness argument.
 
+use crate::las_vegas::{las_vegas, Charged, Try};
 use crate::ApspError;
-use qcc_congest::{GossipStats, GossipTransport, NetConfig, TopologySpec, TraceSink, Transport};
+use qcc_congest::{
+    GossipStats, GossipTransport, NetConfig, Topology, TopologySpec, TraceSink, Transport,
+};
 use qcc_graph::{
     certificate_local_ok, distance_product_reference, floyd_warshall, DiGraph, ExtWeight,
     WeightMatrix,
@@ -74,13 +77,10 @@ pub struct GossipApspConfig {
     /// Chunks per RLNC block; `0` picks the transport default, `1` is
     /// uncoded flooding.
     pub chunks: usize,
-    /// Extra attempts after the first (total = `max_retries + 1`).
+    /// Extra attempts after the first (total = `max_retries + 1`). Every
+    /// surviving matrix is certified: the check is local and free of
+    /// rounds, so there is no cheaper unverified mode worth having.
     pub max_retries: u32,
-    /// Check the local certificate on every surviving matrix. Unlike the
-    /// clique driver there is no cheaper unverified mode worth having —
-    /// the check is local and free of rounds — but the switch mirrors
-    /// [`crate::DriverConfig::verify`] for the benches.
-    pub verify: bool,
     /// Fault plan for the attempts (reseeded per attempt). The
     /// `reliable` half is deliberately ignored: coded redundancy *is*
     /// this transport's loss-recovery mechanism, and pairing it with the
@@ -96,7 +96,6 @@ impl Default for GossipApspConfig {
             topology: TopologySpec::Mesh { degree: 4 },
             chunks: 0,
             max_retries: 3,
-            verify: true,
             net: NetConfig::default(),
             seed: 7,
         }
@@ -130,7 +129,8 @@ pub struct GossipApspReport {
     pub attempts: Vec<GossipAttempt>,
     /// Coded-gossip statistics of the accepted attempt.
     pub stats: GossipStats,
-    /// `true` iff the accepted matrix passed the certificate.
+    /// `true` iff the accepted matrix passed the certificate (always, since
+    /// every matrix is certified; kept for the CLI and bench reports).
     pub verified: bool,
     /// Label of the topology instance gossiped over.
     pub topology: String,
@@ -177,12 +177,16 @@ fn parse_rows(n: usize, rows: &[Vec<u8>]) -> Option<WeightMatrix> {
 ///
 /// * [`ApspError::Congest`] with [`CongestError::Partitioned`] when the
 ///   topology is disconnected — immediately, retries cannot help.
+/// * [`ApspError::Congest`] with [`CongestError::NodeCrashed`] on the
+///   first attempt a fail-stop crash kills: a reseeded plan keeps its
+///   crash schedule, so no retry is made.
 /// * [`ApspError::NegativeCycle`] from the local solve.
-/// * The last typed transport error when every attempt fails (crash
-///   plans refire deterministically, so a crashed node fails every
-///   attempt — honestly).
+/// * The last typed transport error when every attempt fails.
 /// * [`ApspError::VerificationFailed`] when matrices emerged but none
 ///   passed the certificate.
+///
+/// [`CongestError::Partitioned`]: qcc_congest::CongestError::Partitioned
+/// [`CongestError::NodeCrashed`]: qcc_congest::CongestError::NodeCrashed
 ///
 /// # Examples
 ///
@@ -206,94 +210,96 @@ pub fn gossip_apsp(
     let n = g.n();
     let rows: Vec<Vec<u8>> = (0..n).map(|i| serialize_row(g, i)).collect();
     let topo = cfg.topology.build(n, cfg.seed);
-    let topo_label = topo.label().to_string();
+    let adjacency = g.adjacency_matrix();
+    // Every node holds the whole graph after a successful gossip, so the
+    // certificate is local and charges no rounds.
+    let certify = |_: Try, out: &GossipRun| {
+        let d = &out.distances;
+        let ok = certificate_local_ok(&adjacency, d) && distance_product_reference(d, d) == *d;
+        Some(Ok((ok, 0)))
+    };
+    let no_fallback: Option<fn() -> Charged<GossipRun>> = None;
+    let run = las_vegas(
+        cfg.max_retries,
+        |attempt| gossip_attempt(&rows, &topo, cfg, attempt, trace),
+        certify,
+        no_fallback,
+        |t| GossipAttempt {
+            attempt: t.at.index,
+            rounds: t.rounds,
+            verified: t.verified,
+            error: t.error,
+        },
+    )?;
+    Ok(GossipApspReport {
+        distances: run.output.distances,
+        rounds: run.output.rounds,
+        total_rounds: run.total_rounds,
+        attempts: run.history,
+        stats: run.output.stats,
+        verified: run.verified == Some(true),
+        topology: topo.label().to_string(),
+    })
+}
 
-    let mut attempts: Vec<GossipAttempt> = Vec::new();
-    let mut total_rounds = 0u64;
-    let mut last_error: Option<ApspError> = None;
+/// One gossip attempt's decoded, locally solved output.
+struct GossipRun {
+    distances: WeightMatrix,
+    rounds: u64,
+    stats: GossipStats,
+}
 
-    for attempt in 0..=cfg.max_retries {
-        // The topology is the environment — stable across attempts; only
-        // the fault randomness is fresh. Disconnection therefore fails
-        // immediately rather than burning the retry budget.
-        let mut transport =
-            GossipTransport::new(topo.clone(), cfg.seed ^ (u64::from(attempt) << 32))
-                .map_err(ApspError::Congest)?;
-        if cfg.chunks > 0 {
-            transport = transport.with_chunks(cfg.chunks);
-        }
-        let netcfg = cfg.net.reseeded(u64::from(attempt));
-        if let Some(plan) = netcfg.faults {
-            transport.set_fault_plan(plan);
-        }
-        if let Some(sink) = trace {
-            transport.set_trace_sink(sink.clone());
-        }
-        transport.begin_phase(&format!("gossip-apsp-{attempt}"));
-        let run = transport.gossip_blocks(&rows);
-        transport.close_all_spans();
-        let rounds = transport.rounds();
-        total_rounds += rounds;
-        match run {
-            Ok(views) => {
-                // Every node decoded every block exactly; any view
-                // disagreement or geometry error is an internal bug.
-                let adj = views
-                    .iter()
-                    .map(|view| parse_rows(n, view))
-                    .collect::<Option<Vec<_>>>()
-                    .filter(|all| all.windows(2).all(|w| w[0] == w[1]))
-                    .and_then(|mut all| all.pop())
-                    .ok_or_else(|| ApspError::Internal {
-                        context: "gossip views disagree after successful decode".into(),
-                    })?;
-                let distances = floyd_warshall(&adj).map_err(|_| ApspError::NegativeCycle)?;
-                let verified = if cfg.verify {
-                    certificate_local_ok(&g.adjacency_matrix(), &distances)
-                        && distance_product_reference(&distances, &distances) == distances
-                } else {
-                    true
-                };
-                attempts.push(GossipAttempt {
-                    attempt,
-                    rounds,
-                    verified: Some(verified),
-                    error: None,
-                });
-                if verified {
-                    let stats = transport.gossip_stats().cloned().unwrap_or_default();
-                    return Ok(GossipApspReport {
-                        distances,
-                        rounds,
-                        total_rounds,
-                        attempts,
-                        stats,
-                        verified: cfg.verify,
-                        topology: topo_label,
-                    });
-                }
-            }
-            Err(e) => {
-                let e = ApspError::Congest(e);
-                attempts.push(GossipAttempt {
-                    attempt,
-                    rounds,
-                    verified: None,
-                    error: Some(e.to_string()),
-                });
-                if !e.is_retryable() {
-                    return Err(e);
-                }
-                last_error = Some(e);
-            }
-        }
+/// Gossips every adjacency row over `topo` with the fault randomness of
+/// `attempt`, then solves APSP locally. The rounds are the transport's
+/// own count, so a failed attempt charges what it spent even though its
+/// error stays a bare [`ApspError::Congest`].
+fn gossip_attempt(
+    rows: &[Vec<u8>],
+    topo: &Topology,
+    cfg: &GossipApspConfig,
+    attempt: u32,
+    trace: Option<&TraceSink>,
+) -> Charged<GossipRun> {
+    // The topology is the environment — stable across attempts; only the
+    // fault randomness is fresh. Disconnection therefore fails
+    // immediately rather than burning the retry budget.
+    let mut transport =
+        match GossipTransport::new(topo.clone(), cfg.seed ^ (u64::from(attempt) << 32)) {
+            Ok(transport) => transport,
+            Err(e) => return (0, Err(ApspError::Congest(e))),
+        };
+    if cfg.chunks > 0 {
+        transport = transport.with_chunks(cfg.chunks);
     }
-    match last_error {
-        Some(e) => Err(e),
-        None => Err(ApspError::VerificationFailed {
-            attempts: attempts.len() as u32,
-        }),
+    if let Some(plan) = cfg.net.reseeded(u64::from(attempt)).faults {
+        transport.set_fault_plan(plan);
     }
+    if let Some(sink) = trace {
+        transport.set_trace_sink(sink.clone());
+    }
+    transport.begin_phase(&format!("gossip-apsp-{attempt}"));
+    let run = transport.gossip_blocks(rows);
+    transport.close_all_spans();
+    let rounds = transport.rounds();
+    let solved = run.map_err(ApspError::Congest).and_then(|views| {
+        // Every node decoded every block exactly; any view disagreement
+        // or geometry error is an internal bug.
+        let adj = views
+            .iter()
+            .map(|view| parse_rows(rows.len(), view))
+            .collect::<Option<Vec<_>>>()
+            .filter(|all| all.windows(2).all(|w| w[0] == w[1]))
+            .and_then(|mut all| all.pop())
+            .ok_or_else(|| ApspError::Internal {
+                context: "gossip views disagree after successful decode".into(),
+            })?;
+        Ok(GossipRun {
+            distances: floyd_warshall(&adj).map_err(|_| ApspError::NegativeCycle)?,
+            rounds,
+            stats: transport.gossip_stats().cloned().unwrap_or_default(),
+        })
+    });
+    (rounds, solved)
 }
 
 #[cfg(test)]
@@ -361,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn crashes_fail_every_attempt_with_a_typed_error() {
+    fn a_crash_stops_the_first_attempt_with_a_typed_error() {
         let g = graph(8, 23);
         let cfg = GossipApspConfig {
             net: NetConfig::faulty(FaultPlan::parse("crash=2@0,seed=5").unwrap()),
@@ -369,10 +375,13 @@ mod tests {
             ..GossipApspConfig::default()
         };
         let err = gossip_apsp(&g, &cfg, None).unwrap_err();
-        assert!(
-            matches!(err, ApspError::Congest(CongestError::NodeCrashed { .. })),
-            "expected NodeCrashed, got {err}"
-        );
+        match err {
+            ApspError::Congest(CongestError::NodeCrashed { node, phase }) => {
+                assert_eq!(node.index(), 2);
+                assert_eq!(phase, "gossip-apsp-0", "no retry after a crash");
+            }
+            other => panic!("expected NodeCrashed, got {other}"),
+        }
     }
 
     #[test]

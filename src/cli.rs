@@ -198,9 +198,11 @@ degrading to the verified classical scan.
 --faults SPEC injects seeded, deterministic network faults and arms the
 ack/retransmit envelope. SPEC is comma-separated key=value items:
 drop=R, corrupt=R, dup=R (rates in [0,1]), seed=S, crash=NODE@ROUND,
-link=SRC>DST:RATE. --verify runs the self-verifying Las-Vegas driver
-(retry up to --max-retries times, then degrade to the classical
-semiring fallback).
+link=SRC>DST:RATE; nodes must be below --n. --verify runs the
+self-verifying Las-Vegas driver (retry up to --max-retries times, then
+degrade to the classical semiring fallback). A fail-stop crash is never
+retried: a retry would crash the same node again, so the first attempt
+it hits ends the run with the crash as the error (exit 1).
 
 apsp --transport gossip replaces the clique with RLNC-coded gossip over
 a general topology (--topology, default mesh:4): every node broadcasts
@@ -220,7 +222,7 @@ N resident per-source rows (LRU) instead of the full matrix.
 
 EXIT CODES:
     0  success (serve: clean shutdown or end of input)
-    1  error (bad input, algorithm failure)
+    1  error (bad input, algorithm failure, a crashed node)
     2  usage error
     3  no attempt passed verification (apsp, serve, diameter, radius
        and ecc with --verify)
@@ -346,13 +348,25 @@ fn parse_algorithm(flags: &Flags) -> Result<ApspAlgorithm, CliError> {
     }
 }
 
-/// Parses `--faults` into a [`FaultPlan`], if given.
-fn parse_fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, CliError> {
-    match flags.get("--faults") {
-        None => Ok(None),
-        Some(spec) => FaultPlan::parse(spec)
-            .map(Some)
-            .map_err(|e| CliError(format!("invalid --faults spec: {e}"))),
+/// Parses `--faults` into a [`FaultPlan`], if given, rejecting a crash or
+/// link that names a node outside the `n`-node network.
+fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliError> {
+    let Some(spec) = flags.get("--faults") else {
+        return Ok(None);
+    };
+    let plan =
+        FaultPlan::parse(spec).map_err(|e| CliError(format!("invalid --faults spec: {e}")))?;
+    let crashed = plan.crashes.iter().map(|&(node, _)| node);
+    let linked = plan
+        .link_drop
+        .iter()
+        .flat_map(|&((src, dst), _)| [src, dst]);
+    match crashed.chain(linked).find(|node| node.index() >= n) {
+        Some(node) => Err(CliError(format!(
+            "invalid --faults spec: node {} is outside the {n}-node network",
+            node.index()
+        ))),
+        None => Ok(Some(plan)),
     }
 }
 
@@ -414,7 +428,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let faults = parse_fault_plan(&flags)?;
+            let n = flags.num("--n", 8)?;
+            let faults = parse_fault_plan(&flags, n)?;
             let transport = match flags.get("--transport") {
                 None => TransportKind::Clique,
                 Some(t) => TransportKind::parse(t).map_err(CliError)?,
@@ -431,7 +446,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 ));
             }
             Ok(Command::Apsp {
-                n: flags.num("--n", 8)?,
+                n,
                 seed: flags.num("--seed", 7)?,
                 algorithm,
                 w_max: flags.num("--wmax", 8)?,
@@ -467,7 +482,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let flags = collect_flags(command, rest, &allowed, &["--verify"])?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let faults = parse_fault_plan(&flags)?;
+            let n: usize = flags.num("--n", 12)?;
+            if n == 0 {
+                return Err(CliError("--n must be at least 1".into()));
+            }
+            let faults = parse_fault_plan(&flags, n)?;
             let backend = match flags.get("--backend") {
                 None | Some("quantum") => ExtremumBackend::Quantum,
                 Some("scan") => ExtremumBackend::ClassicalScan,
@@ -478,10 +497,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 return Err(CliError(format!(
                     "--density must be in [0, 1], got {density}"
                 )));
-            }
-            let n: usize = flags.num("--n", 12)?;
-            if n == 0 {
-                return Err(CliError("--n must be at least 1".into()));
             }
             Ok(Command::Distance {
                 param,
@@ -554,13 +569,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let faults = parse_fault_plan(&flags)?;
+            let n = flags.num("--n", 8)?;
+            let faults = parse_fault_plan(&flags, n)?;
             let row_cache: Option<usize> = flags.opt_num("--row-cache")?;
             if row_cache == Some(0) {
                 return Err(CliError("--row-cache must be at least 1".into()));
             }
             Ok(Command::Serve {
-                n: flags.num("--n", 8)?,
+                n,
                 seed: flags.num("--seed", 7)?,
                 algorithm,
                 w_max: flags.num("--wmax", 8)?,
@@ -686,9 +702,6 @@ pub fn run(
                 let cfg = GossipApspConfig {
                     topology: topology.unwrap_or(TopologySpec::Mesh { degree: 4 }),
                     max_retries,
-                    // Gossip always certifies: the check is local and free
-                    // of rounds, so there is no cheaper mode to offer.
-                    verify: true,
                     net: faults.clone().map(NetConfig::faulty).unwrap_or_default(),
                     seed,
                     ..GossipApspConfig::default()
@@ -1062,6 +1075,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::congest::CongestError;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1284,6 +1298,19 @@ mod tests {
         assert!(e.0.contains("yes"), "{e}");
         // Switches cannot repeat either.
         assert!(parse(&argv("apsp --verify --verify")).is_err());
+        // Fault nodes must exist in the network the command builds.
+        for line in [
+            "apsp --n 4 --faults crash=9@0",
+            "apsp --n 4 --faults crash=4@0 --transport gossip",
+            "apsp --n 4 --faults link=7>1:0.5",
+            "apsp --n 4 --faults link=1>4:0.5",
+            "diameter --n 4 --faults crash=9@0",
+            "serve --n 4 --faults crash=9@0",
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(e.0.contains("outside the 4-node network"), "{line}: {e}");
+        }
+        assert!(parse(&argv("apsp --n 4 --faults crash=3@0,link=3>0:0.5")).is_ok());
     }
 
     #[test]
@@ -1579,9 +1606,10 @@ mod tests {
     }
 
     #[test]
-    fn run_crashed_node_exhausts_verification() {
-        // Node 0 crashes at round 0 and stays down: every attempt and the
-        // semiring fallback lose it, so the driver can never certify.
+    fn run_crashed_node_fails_with_the_crash() {
+        // Node 0 crashes at round 0 and stays down. A reseeded retry would
+        // crash it again, so the first attempt's typed crash is the answer:
+        // no retry, no fallback, and the root cause survives.
         let mut buf = Vec::new();
         let cmd = Command::Apsp {
             n: 5,
@@ -1595,11 +1623,18 @@ mod tests {
             transport: TransportKind::Clique,
             topology: None,
         };
-        let status = run(&cmd, &mut buf).unwrap();
-        assert_eq!(status, RunStatus::VerificationFailed);
-        assert_eq!(status.exit_code(), 3);
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("without a verified answer"), "{text}");
+        let err = run(&cmd, &mut buf).unwrap_err();
+        match err.downcast_ref::<ApspError>() {
+            Some(ApspError::Faulted { source, .. }) => match source.as_ref() {
+                ApspError::Congest(CongestError::NodeCrashed { node, .. }) => {
+                    assert_eq!(node.index(), 0);
+                }
+                other => panic!("expected a crash, got {other}"),
+            },
+            _ => panic!("expected a typed crash, got {err}"),
+        }
+        assert!(err.to_string().contains("node0 crashed"), "{err}");
+        assert!(buf.is_empty(), "a crash prints no result line");
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! promises, oversized payloads, and abort paths.
 
 use qcc::algo::{
-    compute_pairs, find_edges, promise_violation, reference_find_edges, ApspError, PairSet, Params,
-    SearchBackend,
+    apsp_driver, compute_pairs, find_edges, promise_violation, reference_find_edges, ApspAlgorithm,
+    ApspError, DriverConfig, PairSet, Params, SearchBackend,
 };
-use qcc::congest::{Clique, CongestError, Envelope, NodeId, RawBits};
-use qcc::graph::{book_graph, generators, UGraph};
+use qcc::congest::{Clique, CongestError, Envelope, FaultPlan, NetConfig, NodeId, RawBits};
+use qcc::graph::{book_graph, floyd_warshall, generators, UGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -160,4 +160,88 @@ fn weights_at_the_representational_edge() {
     )
     .unwrap();
     assert_eq!(report.found, reference_find_edges(&g, &s));
+}
+
+#[test]
+fn fault_plans_naming_absent_nodes_never_index_out_of_bounds() {
+    // One plan serves networks of different sizes (the quantum pipeline's
+    // virtual network has 3n nodes, its verifier's n): a crash or link
+    // beyond this network's nodes is ignored, never an out-of-bounds panic.
+    let plan = FaultPlan::parse("crash=9@0,link=7>1:0.5,seed=3").unwrap();
+    let mut net = Clique::new(4).unwrap();
+    net.set_fault_plan(plan.clone());
+    let sends = (1..4)
+        .map(|i| Envelope::new(NodeId::new(i), NodeId::new(0), RawBits::new(i as u64, 8)))
+        .collect();
+    let inboxes = net.exchange(sends).unwrap();
+    assert_eq!(
+        inboxes.of(NodeId::new(0)).len(),
+        3,
+        "no node of this network crashed"
+    );
+
+    // Through the whole driver. Naive APSP and its verifier run on the
+    // 4-node network, where node 9 does not exist: the answer is exact.
+    // The quantum pipeline's 12-node virtual network has a node 9, which
+    // crashes: a typed crash, not a panic.
+    let mut rng = StdRng::seed_from_u64(407);
+    let g = generators::random_reweighted_digraph(4, 0.5, 5, &mut rng);
+    for algorithm in [
+        ApspAlgorithm::NaiveBroadcast,
+        ApspAlgorithm::QuantumTriangle,
+    ] {
+        let cfg = DriverConfig {
+            algorithm,
+            net: NetConfig::faulty(plan.clone()),
+            ..DriverConfig::default()
+        };
+        match apsp_driver(&g, &cfg, &mut rng, None) {
+            Ok(out) => {
+                assert_eq!(algorithm, ApspAlgorithm::NaiveBroadcast);
+                assert!(out.verified && !out.used_fallback);
+                assert_eq!(
+                    out.report.distances,
+                    floyd_warshall(&g.adjacency_matrix()).unwrap()
+                );
+            }
+            Err(ApspError::Faulted { source, .. }) => {
+                assert_eq!(algorithm, ApspAlgorithm::QuantumTriangle);
+                assert!(
+                    matches!(*source, ApspError::Congest(CongestError::NodeCrashed { node, .. }) if node.index() == 9)
+                );
+            }
+            Err(e) => panic!("{algorithm:?}: {e}"),
+        }
+    }
+}
+
+#[test]
+fn the_cli_rejects_fault_nodes_outside_the_network_as_usage_errors() {
+    for args in [
+        &["apsp", "--n", "4", "--faults", "crash=9@0"][..],
+        &["apsp", "--n", "4", "--faults", "link=7>1:0.5"],
+        &[
+            "apsp",
+            "--n",
+            "4",
+            "--faults",
+            "crash=4@0",
+            "--transport",
+            "gossip",
+        ],
+        &["diameter", "--n", "4", "--faults", "crash=9@0"],
+        &["serve", "--n", "4", "--faults", "crash=9@0"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_qcc"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("outside the 4-node network"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
