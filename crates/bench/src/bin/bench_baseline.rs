@@ -29,13 +29,13 @@
 //! `qcc trace-summary FILE`.
 
 use qcc_apsp::{apsp_traced, ApspAlgorithm, Params};
+use qcc_bench::{fixed, host_parallelism, Args, Report};
 use qcc_congest::{Clique, Envelope, NodeId, RawBits, TraceSink};
 use qcc_graph::{
     distance_product_with_threads, random_reweighted_digraph, ExtWeight, WeightMatrix,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Sample {
@@ -175,88 +175,49 @@ fn bench_apsp_e2e(n: usize, sink: Option<&TraceSink>, out: &mut Vec<Sample>) {
     });
 }
 
-fn to_json(samples: &[Sample], mode: &str) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"qcc-bench-baseline/v1\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        s,
-        "  \"host_available_parallelism\": {},",
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    );
-    s.push_str("  \"workloads\": [\n");
-    for (i, sample) in samples.iter().enumerate() {
-        s.push_str("    {");
-        let _ = write!(
-            s,
-            "\"name\": \"{}\", \"n\": {}, \"threads\": {}, \"reps\": {}, \"median_ms\": {:.3}, \"min_ms\": {:.3}",
-            sample.name,
-            sample.n,
-            sample.threads,
-            sample.reps,
-            sample.median_ms(),
-            sample.min_ms()
-        );
-        if let Some(r) = sample.rounds {
-            let _ = write!(s, ", \"rounds\": {r}");
-        }
-        let _ = write!(s, ", \"all_ms\": [");
-        for (j, t) in sample.times_ms.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{t:.3}");
-        }
-        s.push_str("]}");
-        s.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn to_json(samples: &[Sample], mode: &str) -> Report {
+    let workloads: Vec<Report> = samples
+        .iter()
+        .map(|sample| {
+            let row = Report::new()
+                .field("name", sample.name.as_str())
+                .field("n", sample.n)
+                .field("threads", sample.threads)
+                .field("reps", sample.reps)
+                .field("median_ms", fixed(sample.median_ms(), 3))
+                .field("min_ms", fixed(sample.min_ms(), 3));
+            let row = match sample.rounds {
+                Some(r) => row.field("rounds", r),
+                None => row,
+            };
+            row.field(
+                "all_ms",
+                sample
+                    .times_ms
+                    .iter()
+                    .map(|&t| fixed(t, 3))
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    Report::new()
+        .field("schema", "qcc-bench-baseline/v1")
+        .field("mode", mode)
+        .field("host_available_parallelism", host_parallelism())
+        .field("workloads", workloads)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut skip_e1 = false;
-    let mut out_path = String::from("BENCH_baseline.json");
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--skip-e1" => skip_e1 = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
-                None => {
-                    eprintln!("bench_baseline: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace" => match it.next() {
-                Some(path) => trace_path = Some(path.clone()),
-                None => {
-                    eprintln!("bench_baseline: --trace requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("bench_baseline: unknown argument `{other}`");
-                eprintln!(
-                    "usage: bench_baseline [--smoke] [--skip-e1] [--out PATH] [--trace FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let sink = trace_path.map(|p| {
-        TraceSink::to_file(&p).unwrap_or_else(|e| {
-            eprintln!("bench_baseline: cannot create trace file {p}: {e}");
-            std::process::exit(2);
-        })
-    });
+    let args = Args::parse(
+        "bench_baseline",
+        "usage: bench_baseline [--smoke] [--skip-e1] [--out PATH] [--trace FILE]",
+        &["--out", "--trace"],
+        &["--smoke", "--skip-e1"],
+    );
+    let smoke = args.switch("--smoke");
+    let skip_e1 = args.switch("--skip-e1");
+    let out_path = args.value("--out").unwrap_or("BENCH_baseline.json");
+    let sink = args.trace_sink();
 
     let (sizes, reps, e2e_n): (&[usize], usize, usize) = if smoke {
         (&[64], 2, 16)
@@ -281,8 +242,9 @@ fn main() {
         sink.flush().expect("trace flush");
     }
 
-    let json = to_json(&samples, if smoke { "smoke" } else { "full" });
-    std::fs::write(&out_path, &json).expect("write baseline JSON");
+    let json = to_json(&samples, if smoke { "smoke" } else { "full" })
+        .write(out_path)
+        .expect("write baseline JSON");
     println!("{json}");
     eprintln!("bench_baseline: wrote {out_path}");
 }

@@ -20,18 +20,21 @@
 //!   executed and discarded before timing.
 //! * `--check REF.json` compares this run's `min_ms` against the
 //!   reference's `min_ms` (falling back to `median_ms`) and exits 1 when
-//!   it regressed by more than `--max-ratio` (default 2.0). `min_ms` is
+//!   it regressed by more than `--max-ratio` (default 2.0), or when its
+//!   charged rounds differ from the reference's `rounds`. `min_ms` is
 //!   compared because it is the noise-robust statistic on shared CI hosts.
+//!   A reference without an integer `rounds` is a usage error (exit 2).
 //! * The JSON also records `trimmed_mean_ms` (mean with the fastest and
 //!   slowest rep dropped) as the typical-rep statistic; it is reported,
 //!   never gated on. See EXPERIMENTS.md for the rationale.
 
 use qcc_apsp::{apsp_traced, ApspAlgorithm, Params};
+use qcc_bench::{fixed, host_parallelism, Args, Report};
+use qcc_congest::json::{self, Value};
 use qcc_congest::TraceSink;
 use qcc_graph::random_reweighted_digraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 struct E1Result {
@@ -108,139 +111,95 @@ fn run_e1(n: usize, reps: usize, sink: Option<&TraceSink>) -> E1Result {
     }
 }
 
-fn to_json(r: &E1Result) -> String {
+fn to_json(r: &E1Result) -> Report {
     let mut sorted = r.times_ms.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"qcc-bench-e1/v1\",");
-    let _ = writeln!(
-        s,
-        "  \"host_available_parallelism\": {},",
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    );
-    let _ = writeln!(s, "  \"n\": {},", r.n);
-    let _ = writeln!(s, "  \"reps\": {},", r.reps);
-    let _ = writeln!(s, "  \"median_ms\": {:.3},", median(&sorted));
-    let _ = writeln!(s, "  \"trimmed_mean_ms\": {:.3},", trimmed_mean(&sorted));
-    let _ = writeln!(s, "  \"min_ms\": {:.3},", sorted[0]);
-    let _ = writeln!(s, "  \"rounds\": {},", r.rounds);
-    let _ = write!(s, "  \"all_ms\": [");
-    for (j, t) in r.times_ms.iter().enumerate() {
-        if j > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{t:.3}");
-    }
-    s.push_str("]\n}\n");
-    s
+    Report::new()
+        .field("schema", "qcc-bench-e1/v1")
+        .field("host_available_parallelism", host_parallelism())
+        .field("n", r.n)
+        .field("reps", r.reps)
+        .field("median_ms", fixed(median(&sorted), 3))
+        .field("trimmed_mean_ms", fixed(trimmed_mean(&sorted), 3))
+        .field("min_ms", fixed(sorted[0], 3))
+        .field("rounds", r.rounds)
+        .field(
+            "all_ms",
+            r.times_ms.iter().map(|&t| fixed(t, 3)).collect::<Vec<_>>(),
+        )
 }
 
-/// Pulls `"key": <number>` out of a flat JSON object without a JSON
-/// dependency (the bench JSON is machine-written, schema-stable).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The reference run `--check` compares against: its `min_ms` (falling
+/// back to `median_ms`) and its charged `rounds`, which must be present —
+/// a reference without them would let round drift pass unseen.
+fn reference(text: &str) -> Result<(f64, u64), String> {
+    let value = json::parse(text)?;
+    let ms = ["min_ms", "median_ms"]
+        .iter()
+        .find_map(|key| match value.get(key) {
+            Some(Value::Num(literal)) => literal.parse::<f64>().ok(),
+            _ => None,
+        })
+        .ok_or("has no min_ms/median_ms")?;
+    let rounds = match value.get("rounds") {
+        Some(Value::Num(literal)) => json::int(literal).map_err(|e| format!("rounds: {e}"))?,
+        Some(_) => return Err("rounds is not an integer".into()),
+        None => return Err("has no rounds".into()),
+    };
+    Ok((ms, rounds))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n = 81usize;
-    let mut reps = 1usize;
-    let mut out_path = String::from("BENCH_e1_fast.json");
-    let mut trace_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut max_ratio = 2.0f64;
-    let mut it = args.iter();
-    let usage = "usage: bench_e1 [--n N] [--reps R] [--out PATH] [--trace FILE] \
-                 [--check REF.json] [--max-ratio X]";
-    let take = |it: &mut std::slice::Iter<String>, flag: &str| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprintln!("bench_e1: {flag} requires a value\n{usage}");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--n" => {
-                n = take(&mut it, "--n").parse().unwrap_or_else(|_| {
-                    eprintln!("bench_e1: --n requires an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--reps" => {
-                reps = take(&mut it, "--reps").parse().unwrap_or_else(|_| {
-                    eprintln!("bench_e1: --reps requires an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--out" => out_path = take(&mut it, "--out"),
-            "--trace" => trace_path = Some(take(&mut it, "--trace")),
-            "--check" => check_path = Some(take(&mut it, "--check")),
-            "--max-ratio" => {
-                max_ratio = take(&mut it, "--max-ratio").parse().unwrap_or_else(|_| {
-                    eprintln!("bench_e1: --max-ratio requires a number");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("bench_e1: unknown argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(
+        "bench_e1",
+        "usage: bench_e1 [--n N] [--reps R] [--out PATH] [--trace FILE] \
+         [--check REF.json] [--max-ratio X]",
+        &[
+            "--n",
+            "--reps",
+            "--out",
+            "--trace",
+            "--check",
+            "--max-ratio",
+        ],
+        &[],
+    );
+    let n = args.num("--n", 81usize);
+    let reps = args.num("--reps", 1usize);
+    let out_path = args.value("--out").unwrap_or("BENCH_e1_fast.json");
+    let max_ratio = args.num("--max-ratio", 2.0f64);
     if reps == 0 {
-        eprintln!("bench_e1: --reps must be at least 1");
-        std::process::exit(2);
+        args.fail("--reps must be at least 1");
     }
-    let sink = trace_path.map(|p| {
-        TraceSink::to_file(&p).unwrap_or_else(|e| {
-            eprintln!("bench_e1: cannot create trace file {p}: {e}");
-            std::process::exit(2);
-        })
+    // Read the reference before the run, so a bad one fails fast.
+    let check = args.value("--check").map(|ref_path| {
+        std::fs::read_to_string(ref_path)
+            .map_err(|e| format!("cannot read reference {ref_path}: {e}"))
+            .and_then(|text| reference(&text).map_err(|e| format!("reference {ref_path}: {e}")))
+            .unwrap_or_else(|e| args.fail(&e))
     });
+    let sink = args.trace_sink();
 
     let result = run_e1(n, reps, sink.as_ref());
     if let Some(sink) = &sink {
         sink.flush().expect("trace flush");
     }
-    let json = to_json(&result);
-    std::fs::write(&out_path, &json).expect("write bench JSON");
+    let json = to_json(&result).write(out_path).expect("write bench JSON");
     println!("{json}");
     eprintln!("bench_e1: wrote {out_path}");
 
-    if let Some(ref_path) = check_path {
-        let ref_text = std::fs::read_to_string(&ref_path).unwrap_or_else(|e| {
-            eprintln!("bench_e1: cannot read reference {ref_path}: {e}");
-            std::process::exit(2);
-        });
-        let ref_ms = json_number(&ref_text, "min_ms")
-            .or_else(|| json_number(&ref_text, "median_ms"))
-            .unwrap_or_else(|| {
-                eprintln!("bench_e1: reference {ref_path} has no min_ms/median_ms");
-                std::process::exit(2);
-            });
+    if let Some((ref_ms, ref_rounds)) = check {
         let mut sorted = result.times_ms.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let ours = sorted[0];
         let ratio = ours / ref_ms;
-        if let Some(ref_rounds) = json_number(&ref_text, "rounds") {
-            let ref_rounds = ref_rounds as u64;
-            if ref_rounds != result.rounds {
-                eprintln!(
-                    "bench_e1: FAIL — charged rounds {} differ from reference {} \
-                     (simulation semantics changed)",
-                    result.rounds, ref_rounds
-                );
-                std::process::exit(1);
-            }
+        if ref_rounds != result.rounds {
+            eprintln!(
+                "bench_e1: FAIL — charged rounds {} differ from reference {} \
+                 (simulation semantics changed)",
+                result.rounds, ref_rounds
+            );
+            std::process::exit(1);
         }
         if ratio > max_ratio {
             eprintln!(

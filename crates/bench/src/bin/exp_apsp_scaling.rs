@@ -10,23 +10,19 @@
 //! moderate; per-stage scaling at larger `n` is covered by E2/E8/E11.
 
 use qcc_apsp::{apsp_traced, ApspAlgorithm, Params};
-use qcc_bench::{banner, loglog_slope, take_trace_flag, Table};
+use qcc_bench::{banner, loglog_slope, Args, Table};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sink = take_trace_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("exp_apsp_scaling: {e}");
-        eprintln!("usage: exp_apsp_scaling [--trace FILE]");
-        std::process::exit(2);
-    });
-    if let Some(extra) = args.first() {
-        eprintln!("exp_apsp_scaling: unknown argument `{extra}`");
-        eprintln!("usage: exp_apsp_scaling [--trace FILE]");
-        std::process::exit(2);
-    }
+    let sink = Args::parse(
+        "exp_apsp_scaling",
+        "usage: exp_apsp_scaling [--trace FILE]",
+        &["--trace"],
+        &[],
+    )
+    .trace_sink();
     banner(
         "E1/E9",
         "end-to-end APSP: correctness and round counts across algorithms",

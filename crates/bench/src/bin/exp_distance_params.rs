@@ -24,13 +24,12 @@ use qcc_apsp::{
     classical_extremum_scan, distance_params, eccentricities, network_extremum, ApspAlgorithm,
     DistanceParam, ExtremumConfig,
 };
-use qcc_bench::{banner, Table};
+use qcc_bench::{banner, fixed, Args, Report, Table};
 use qcc_congest::Clique;
 use qcc_graph::{floyd_warshall, random_reweighted_digraph};
 use qcc_quantum::DEFAULT_STAGE_ATTEMPTS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 
 struct SweepPoint {
     n: usize,
@@ -44,35 +43,18 @@ struct SweepPoint {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: exp_distance_params [--smoke] [--trials T] [--seed S] [--out PATH]";
-    let mut smoke = false;
-    let mut trials = 20usize;
-    let mut seed = 7u64;
-    let mut out_path = String::from("BENCH_distance_params.json");
-    let take = |flag: &str, it: &mut std::slice::Iter<String>| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprintln!("exp_distance_params: {flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--trials" => trials = parse_num(&take("--trials", &mut it), "--trials"),
-            "--seed" => seed = parse_num(&take("--seed", &mut it), "--seed"),
-            "--out" => out_path = take("--out", &mut it),
-            other => {
-                eprintln!("exp_distance_params: unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(
+        "exp_distance_params",
+        "usage: exp_distance_params [--smoke] [--trials T] [--seed S] [--out PATH]",
+        &["--trials", "--seed", "--out"],
+        &["--smoke"],
+    );
+    let smoke = args.switch("--smoke");
+    let mut trials = args.num("--trials", 20usize);
+    let seed = args.num("--seed", 7u64);
+    let out_path = args.value("--out").unwrap_or("BENCH_distance_params.json");
     if trials == 0 {
-        eprintln!("exp_distance_params: --trials must be at least 1");
-        std::process::exit(2);
+        args.fail("--trials must be at least 1");
     }
     if smoke {
         trials = trials.min(10);
@@ -185,36 +167,28 @@ fn main() {
     }
     table.print();
 
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"qcc-bench-distance-params/v1\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"trials_per_n\": {trials},");
-    s.push_str("  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"n\": {}, \"quantum_evals_mean\": {:.2}, \"quantum_rounds_mean\": {:.2}, \
-             \"scan_evals\": {}, \"scan_rounds\": {}, \"diameter\": \"{}\", \
-             \"end_to_end_rounds\": {}, \"end_to_end_verified\": {}}}{}",
-            p.n,
-            p.quantum_evals_mean,
-            p.quantum_rounds_mean,
-            p.scan_evals,
-            p.scan_rounds,
-            p.diameter,
-            p.end_to_end_rounds,
-            p.end_to_end_verified,
-            if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &s).expect("write distance-params JSON");
+    let sweep: Vec<Report> = points
+        .iter()
+        .map(|p| {
+            Report::new()
+                .field("n", p.n)
+                .field("quantum_evals_mean", fixed(p.quantum_evals_mean, 2))
+                .field("quantum_rounds_mean", fixed(p.quantum_rounds_mean, 2))
+                .field("scan_evals", p.scan_evals)
+                .field("scan_rounds", p.scan_rounds)
+                .field("diameter", p.diameter.as_str())
+                .field("end_to_end_rounds", p.end_to_end_rounds)
+                .field("end_to_end_verified", p.end_to_end_verified)
+        })
+        .collect();
+    let s = Report::new()
+        .field("schema", "qcc-bench-distance-params/v1")
+        .field("mode", if smoke { "smoke" } else { "full" })
+        .field("seed", seed)
+        .field("trials_per_n", trials)
+        .field("sweep", sweep)
+        .write(out_path)
+        .expect("write distance-params JSON");
     println!("{s}");
     eprintln!("exp_distance_params: wrote {out_path}");
 
@@ -227,11 +201,4 @@ fn main() {
          the scan stays O(1) rounds — evaluations, not rounds, are the framework's\n\
          oracle-cost currency)"
     );
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("exp_distance_params: invalid value for {flag}: {text}");
-        std::process::exit(2);
-    })
 }

@@ -19,30 +19,21 @@
 //! gate.
 
 use qcc_apsp::{apsp_driver, ApspAlgorithm, DriverConfig};
-use qcc_bench::{banner, crash_is_root_cause, take_trace_flag, Table};
+use qcc_bench::{banner, crash_is_root_cause, Args, Table};
 use qcc_congest::{FaultPlan, NetConfig};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sink = take_trace_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("exp_fault_sweep: {e}");
-        eprintln!("usage: exp_fault_sweep [--smoke] [--trace FILE]");
-        std::process::exit(2);
-    });
-    let mut smoke = false;
-    for a in &args {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("exp_fault_sweep: unknown argument `{other}`");
-                eprintln!("usage: exp_fault_sweep [--smoke] [--trace FILE]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(
+        "exp_fault_sweep",
+        "usage: exp_fault_sweep [--smoke] [--trace FILE]",
+        &["--trace"],
+        &["--smoke"],
+    );
+    let sink = args.trace_sink();
+    let smoke = args.switch("--smoke");
     banner(
         "E16",
         "fault sweep: seeded drops/corruption/dups/crashes + envelope + driver stay exact or fail typed",

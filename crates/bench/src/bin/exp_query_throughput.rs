@@ -29,10 +29,10 @@
 //! usage errors.
 
 use qcc_apsp::serve::{EdgeChange, QueryEngine, ServeRequest, UpdateMethod};
+use qcc_bench::{fixed, Args, Report};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph, DiGraph, ExtWeight, PathOracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Per-regime measurements.
@@ -117,45 +117,26 @@ fn safe_decrease(g: &DiGraph, dist: &qcc_graph::WeightMatrix) -> Option<(usize, 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut n = 81usize;
-    let mut seed = 7u64;
-    let mut queries = 2000usize;
-    let mut row_cache = 4usize;
-    let mut out_path = String::from("BENCH_query_throughput.json");
-    let mut it = args.iter();
-    let usage = "usage: exp_query_throughput [--smoke] [--n N] [--seed S] \
-                 [--queries Q] [--row-cache C] [--out PATH]";
-    let take = |flag: &str, it: &mut std::slice::Iter<String>| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprintln!("exp_query_throughput: {flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--n" => n = parse_num(&take("--n", &mut it), "--n"),
-            "--seed" => seed = parse_num(&take("--seed", &mut it), "--seed"),
-            "--queries" => queries = parse_num(&take("--queries", &mut it), "--queries"),
-            "--row-cache" => row_cache = parse_num(&take("--row-cache", &mut it), "--row-cache"),
-            "--out" => out_path = take("--out", &mut it),
-            other => {
-                eprintln!("exp_query_throughput: unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(
+        "exp_query_throughput",
+        "usage: exp_query_throughput [--smoke] [--n N] [--seed S] \
+         [--queries Q] [--row-cache C] [--out PATH]",
+        &["--n", "--seed", "--queries", "--row-cache", "--out"],
+        &["--smoke"],
+    );
+    let smoke = args.switch("--smoke");
+    let mut n = args.num("--n", 81usize);
+    let seed = args.num("--seed", 7u64);
+    let mut queries = args.num("--queries", 2000usize);
+    let mut row_cache = args.num("--row-cache", 4usize);
+    let out_path = args.value("--out").unwrap_or("BENCH_query_throughput.json");
     if smoke {
         n = 16;
         queries = 300;
         row_cache = 2;
     }
     if row_cache == 0 {
-        eprintln!("exp_query_throughput: --row-cache must be at least 1");
-        std::process::exit(2);
+        args.fail("--row-cache must be at least 1");
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -258,39 +239,32 @@ fn main() {
     let warm_vs_scratch = fw_ms / warm_per_query_ms.max(1e-12);
     let regimes = [&cold, &warm, &post_delta];
 
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"qcc-bench-query-throughput/v1\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(s, "  \"n\": {n},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"queries_per_regime\": {queries},");
-    let _ = writeln!(s, "  \"row_cache\": {row_cache},");
-    let _ = writeln!(s, "  \"from_scratch_apsp_ms\": {fw_ms:.3},");
-    let _ = writeln!(s, "  \"oracle_build_ms\": {oracle_ms:.3},");
-    let _ = writeln!(s, "  \"delta_repair_ms\": {repair_ms:.3},");
-    let _ = writeln!(s, "  \"full_recompute_ms\": {recompute_ms:.3},");
-    let _ = writeln!(s, "  \"warm_vs_scratch_speedup\": {warm_vs_scratch:.1},");
-    s.push_str("  \"regimes\": [\n");
-    for (i, r) in regimes.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"queries\": {}, \"qps\": {:.1}, \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}}}{}",
-            r.name,
-            r.queries,
-            r.qps,
-            r.p50_us,
-            r.p99_us,
-            if i + 1 < regimes.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &s).expect("write throughput JSON");
+    let rows: Vec<Report> = regimes
+        .iter()
+        .map(|r| {
+            Report::new()
+                .field("name", r.name)
+                .field("queries", r.queries)
+                .field("qps", fixed(r.qps, 1))
+                .field("p50_us", fixed(r.p50_us, 2))
+                .field("p99_us", fixed(r.p99_us, 2))
+        })
+        .collect();
+    let s = Report::new()
+        .field("schema", "qcc-bench-query-throughput/v1")
+        .field("mode", if smoke { "smoke" } else { "full" })
+        .field("n", n)
+        .field("seed", seed)
+        .field("queries_per_regime", queries)
+        .field("row_cache", row_cache)
+        .field("from_scratch_apsp_ms", fixed(fw_ms, 3))
+        .field("oracle_build_ms", fixed(oracle_ms, 3))
+        .field("delta_repair_ms", fixed(repair_ms, 3))
+        .field("full_recompute_ms", fixed(recompute_ms, 3))
+        .field("warm_vs_scratch_speedup", fixed(warm_vs_scratch, 1))
+        .field("regimes", rows)
+        .write(out_path)
+        .expect("write throughput JSON");
     println!("{s}");
     eprintln!("exp_query_throughput: wrote {out_path}");
 
@@ -323,11 +297,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("exp_query_throughput: invalid value for {flag}: {text}");
-        std::process::exit(2);
-    })
 }

@@ -29,12 +29,11 @@ use qcc_apsp::{
     apsp_driver, gossip_apsp, ApspAlgorithm, ApspError, DriverConfig, GossipApspConfig,
     GossipApspReport,
 };
-use qcc_bench::{banner, crash_is_root_cause, take_trace_flag, Table};
+use qcc_bench::{banner, crash_is_root_cause, Args, Report, Table};
 use qcc_congest::{FaultPlan, NetConfig, NodeId, TopologySpec};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 
 /// One grid cell's result, ready for the JSON report.
 struct Cell {
@@ -52,42 +51,20 @@ struct Cell {
     full_nodes: Option<u64>,
 }
 
-fn json_str_opt(v: &Option<String>) -> String {
-    v.as_ref()
-        .map_or("null".to_string(), |s| format!("{:?}", s))
-}
-
-fn json_num_opt(v: Option<u64>) -> String {
+fn num_or_null(v: Option<u64>) -> String {
     v.map_or("null".to_string(), |x| x.to_string())
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: exp_transport_matrix [--smoke] [--out PATH] [--trace FILE]";
-    let sink = take_trace_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("exp_transport_matrix: {e}");
-        eprintln!("{usage}");
-        std::process::exit(2);
-    });
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_transport_matrix.json");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("exp_transport_matrix: --out requires a value");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("exp_transport_matrix: unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(
+        "exp_transport_matrix",
+        "usage: exp_transport_matrix [--smoke] [--out PATH] [--trace FILE]",
+        &["--out", "--trace"],
+        &["--smoke"],
+    );
+    let sink = args.trace_sink();
+    let smoke = args.switch("--smoke");
+    let out_path = args.value("--out").unwrap_or("BENCH_transport_matrix.json");
     banner(
         "E18",
         "transport matrix: topology x transport x faults, exact answers or typed failures",
@@ -269,10 +246,10 @@ fn main() {
                     &cell.mechanism,
                     &cell.faults,
                     &outcome,
-                    &json_num_opt(cell.rounds),
-                    &json_num_opt(cell.attempts),
-                    &json_num_opt(cell.wasted_packets),
-                    &json_num_opt(cell.full_nodes),
+                    &num_or_null(cell.rounds),
+                    &num_or_null(cell.attempts),
+                    &num_or_null(cell.wasted_packets),
+                    &num_or_null(cell.full_nodes),
                 ]);
                 cells.push(cell);
             }
@@ -283,38 +260,32 @@ fn main() {
         sink.flush().expect("trace flush");
     }
 
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"qcc-bench-transport-matrix/v1\",");
-    let _ = writeln!(s, "  \"n\": {n},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"smoke\": {smoke},");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"topology\": {:?}, \"transport\": {:?}, \"mechanism\": {:?}, \
-             \"faults\": {:?}, \"success\": {}, \"verified\": {}, \"error\": {}, \
-             \"rounds\": {}, \"attempts\": {}, \"wasted_packets\": {}, \
-             \"wasted_bits\": {}, \"full_nodes\": {}}}{comma}",
-            c.topology,
-            c.transport,
-            c.mechanism,
-            c.faults,
-            c.success,
-            c.verified,
-            json_str_opt(&c.error),
-            json_num_opt(c.rounds),
-            json_num_opt(c.attempts),
-            json_num_opt(c.wasted_packets),
-            json_num_opt(c.wasted_bits),
-            json_num_opt(c.full_nodes),
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    std::fs::write(&out_path, &s).expect("write transport-matrix JSON");
+    let rows: Vec<Report> = cells
+        .iter()
+        .map(|c| {
+            Report::new()
+                .field("topology", c.topology)
+                .field("transport", c.transport)
+                .field("mechanism", c.mechanism)
+                .field("faults", c.faults.as_str())
+                .field("success", c.success)
+                .field("verified", c.verified)
+                .field("error", c.error.as_deref())
+                .field("rounds", c.rounds)
+                .field("attempts", c.attempts)
+                .field("wasted_packets", c.wasted_packets)
+                .field("wasted_bits", c.wasted_bits)
+                .field("full_nodes", c.full_nodes)
+        })
+        .collect();
+    Report::new()
+        .field("schema", "qcc-bench-transport-matrix/v1")
+        .field("n", n)
+        .field("seed", seed)
+        .field("smoke", smoke)
+        .field("cells", rows)
+        .write(out_path)
+        .expect("write transport-matrix JSON");
     eprintln!("exp_transport_matrix: wrote {out_path}");
 
     if failures > 0 {

@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use qcc_congest::json::{self, Value};
 use std::fmt::Display;
 
 /// A markdown table accumulated row by row and printed to stdout.
@@ -122,39 +123,251 @@ pub fn banner(id: &str, claim: &str) {
     println!("\n## {id} — {claim}\n");
 }
 
-/// Extracts `--trace FILE` from an experiment binary's argument list,
-/// removing both tokens and opening the NDJSON sink.
+/// The command line of a bench binary: `--flag value` pairs and bare
+/// switches, checked against the flags the binary declares.
 ///
-/// The experiment binaries share one convention: `--trace` is optional,
-/// everything else is binary-specific. Returns `Err` with a usage-style
-/// message when the flag is present without a value or the file cannot be
-/// created; the caller prints it and exits non-zero.
-///
-/// # Errors
-///
-/// Returns a message naming the problem (`--trace requires a path`, or the
-/// file-creation failure).
+/// Every usage error — an undeclared flag, a value flag without a value,
+/// a malformed number — prints `BIN: message` and the usage line to
+/// stderr and exits with status 2 ([`Args::fail`]).
+#[derive(Clone, Debug)]
+pub struct Args {
+    bin: &'static str,
+    usage: &'static str,
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+}
+
+impl Args {
+    /// Reads the process's arguments; a repeated flag keeps its last
+    /// value.
+    #[must_use]
+    pub fn parse(
+        bin: &'static str,
+        usage: &'static str,
+        value_flags: &[&str],
+        switches: &[&str],
+    ) -> Args {
+        let mut args = Args {
+            bin,
+            usage,
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        if let Err(e) = args.read(&argv, value_flags, switches) {
+            args.fail(&e);
+        }
+        args
+    }
+
+    /// Records `argv`; a following `--flag` is not taken as a value.
+    fn read(
+        &mut self,
+        argv: &[String],
+        value_flags: &[&str],
+        switches: &[&str],
+    ) -> Result<(), String> {
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if switches.contains(&arg.as_str()) {
+                self.switches.push(arg.clone());
+            } else if value_flags.contains(&arg.as_str()) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => self.values.push((arg.clone(), v.clone())),
+                    _ => return Err(format!("{arg} requires a value")),
+                }
+            } else {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Prints `BIN: message` and the usage line to stderr, then exits
+    /// with status 2.
+    pub fn fail(&self, message: &str) -> ! {
+        eprintln!("{}: {message}\n{}", self.bin, self.usage);
+        std::process::exit(2);
+    }
+
+    /// Whether switch `name` was given.
+    #[must_use]
+    pub fn switch(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    /// The value of flag `name`, if given.
+    #[must_use]
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value of flag `name` parsed as a `T`, or `default` when the
+    /// flag is absent; exits with status 2 when it does not parse.
+    #[must_use]
+    pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        match self.value(name) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| self.fail(&format!("invalid value for {name}: {v}"))),
+        }
+    }
+
+    /// The NDJSON sink of `--trace FILE`, if given; exits with status 2
+    /// when the file cannot be created.
+    #[must_use]
+    pub fn trace_sink(&self) -> Option<qcc_congest::TraceSink> {
+        let path = self.value("--trace")?;
+        Some(
+            qcc_congest::TraceSink::to_file(path)
+                .unwrap_or_else(|e| self.fail(&format!("cannot create trace file {path}: {e}"))),
+        )
+    }
+}
+
+/// A bench report: one JSON object, written in the layout every
+/// checked-in `BENCH_*.json` shares — one top-level field per line, an
+/// array of objects one element per line, everything else inline with
+/// `", "` and `": "` separators.
 ///
 /// # Examples
 ///
 /// ```
-/// let mut args = vec!["--smoke".to_string()];
-/// let sink = qcc_bench::take_trace_flag(&mut args).unwrap();
-/// assert!(sink.is_none());
-/// assert_eq!(args, ["--smoke"]);
+/// use qcc_bench::{fixed, Report};
+///
+/// let row = Report::new().field("n", 16usize).field("ms", fixed(1.0 / 3.0, 3));
+/// let text = Report::new()
+///     .field("schema", "demo/v1")
+///     .field("all_ms", vec![fixed(2.0, 1), fixed(0.5, 1)])
+///     .field("rows", vec![row])
+///     .render();
+/// assert_eq!(
+///     text,
+///     "{\n  \"schema\": \"demo/v1\",\n  \"all_ms\": [2.0, 0.5],\n  \"rows\": [\n    \
+///      {\"n\": 16, \"ms\": 0.333}\n  ]\n}\n"
+/// );
 /// ```
-pub fn take_trace_flag(args: &mut Vec<String>) -> Result<Option<qcc_congest::TraceSink>, String> {
-    let Some(i) = args.iter().position(|a| a == "--trace") else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-        return Err("--trace requires a path".into());
+#[derive(Clone, Debug, Default)]
+pub struct Report(Vec<(String, Value)>);
+
+impl Report {
+    /// An empty report.
+    #[must_use]
+    pub fn new() -> Report {
+        Report::default()
     }
-    let path = args.remove(i + 1);
-    args.remove(i);
-    qcc_congest::TraceSink::to_file(&path)
-        .map(Some)
-        .map_err(|e| format!("cannot create trace file {path}: {e}"))
+
+    /// Appends field `key`; fields render in the order they were added.
+    #[must_use]
+    pub fn field(mut self, key: &str, value: impl Into<Value>) -> Report {
+        self.0.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// The report's JSON text, ending in a newline.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut s = String::from("{\n");
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            s.push_str("  ");
+            push_key(&mut s, key);
+            match value {
+                Value::Arr(items) if items.iter().any(|v| matches!(v, Value::Obj(_))) => {
+                    s.push_str("[\n");
+                    for (j, item) in items.iter().enumerate() {
+                        s.push_str("    ");
+                        push_inline(&mut s, item);
+                        s.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                    }
+                    s.push_str("  ]");
+                }
+                other => push_inline(&mut s, other),
+            }
+            s.push_str(if i + 1 < self.0.len() { ",\n" } else { "\n" });
+        }
+        s.push_str("}\n");
+        s
+    }
+
+    /// Writes [`Report::render`] to `path` and returns the text.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write error.
+    pub fn write(&self, path: &str) -> std::io::Result<String> {
+        let text = self.render();
+        std::fs::write(path, &text)?;
+        Ok(text)
+    }
+}
+
+impl From<Report> for Value {
+    fn from(r: Report) -> Value {
+        Value::Obj(r.0)
+    }
+}
+
+/// The host's available parallelism (1 when unknown), recorded in every
+/// timing report.
+#[must_use]
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// `x` with `decimals` digits after the point (`null` when not finite,
+/// which JSON cannot write).
+#[must_use]
+pub fn fixed(x: f64, decimals: usize) -> Value {
+    if x.is_finite() {
+        Value::Num(format!("{x:.decimals$}"))
+    } else {
+        Value::Null
+    }
+}
+
+fn push_key(s: &mut String, key: &str) {
+    s.push('"');
+    json::escape_into(s, key);
+    s.push_str("\": ");
+}
+
+fn push_inline(s: &mut String, value: &Value) {
+    match value {
+        Value::Null => s.push_str("null"),
+        Value::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
+        Value::Num(literal) => s.push_str(literal),
+        Value::Str(text) => {
+            s.push('"');
+            json::escape_into(s, text);
+            s.push('"');
+        }
+        Value::Arr(items) => {
+            s.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    s.push_str(", ");
+                }
+                push_inline(s, item);
+            }
+            s.push(']');
+        }
+        Value::Obj(fields) => {
+            s.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    s.push_str(", ");
+                }
+                push_key(s, key);
+                push_inline(s, item);
+            }
+            s.push('}');
+        }
+    }
 }
 
 /// `true` iff a fail-stop crash is the root cause of `e`: the fault-sweep
@@ -214,28 +427,78 @@ mod tests {
         assert_eq!(geometric_mean(&[]), 0.0);
     }
 
-    #[test]
-    fn take_trace_flag_removes_its_tokens() {
-        let path =
-            std::env::temp_dir().join(format!("qcc-bench-lib-{}.ndjson", std::process::id()));
-        let mut args = vec![
-            "--smoke".to_string(),
-            "--trace".to_string(),
-            path.to_string_lossy().into_owned(),
-            "--out".to_string(),
-            "x.json".to_string(),
-        ];
-        let sink = take_trace_flag(&mut args).unwrap();
-        assert!(sink.is_some());
-        assert_eq!(args, ["--smoke", "--out", "x.json"]);
-        std::fs::remove_file(&path).ok();
+    fn args(argv: &str, value_flags: &[&str], switches: &[&str]) -> Result<Args, String> {
+        let mut args = Args {
+            bin: "demo",
+            usage: "usage: demo",
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        args.read(&argv, value_flags, switches).map(|()| args)
+    }
+
+    fn demo(argv: &str) -> Result<Args, String> {
+        args(argv, &["--n", "--out"], &["--smoke"])
     }
 
     #[test]
-    fn take_trace_flag_requires_a_value() {
-        let mut args = vec!["--trace".to_string()];
-        assert!(take_trace_flag(&mut args).is_err());
-        let mut args = vec!["--trace".to_string(), "--smoke".to_string()];
-        assert!(take_trace_flag(&mut args).is_err());
+    fn args_read_values_and_switches() {
+        let args = demo("--n 5 --smoke --out x.json --n 6").unwrap();
+        assert!(args.switch("--smoke"));
+        assert_eq!(args.value("--out"), Some("x.json"));
+        assert_eq!(args.num("--n", 0usize), 6);
+        assert_eq!(demo("").unwrap().num("--n", 9usize), 9);
+    }
+
+    #[test]
+    fn args_reject_unknown_flags_and_missing_values() {
+        assert!(demo("--bogus")
+            .unwrap_err()
+            .contains("unknown argument `--bogus`"));
+        assert!(demo("stray")
+            .unwrap_err()
+            .contains("unknown argument `stray`"));
+        for bad in ["--n", "--n --smoke", "--out --n 3"] {
+            assert!(demo(bad).unwrap_err().contains("requires a value"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn trace_sink_opens_the_file() {
+        let path =
+            std::env::temp_dir().join(format!("qcc-bench-lib-{}.ndjson", std::process::id()));
+        let path = path.to_string_lossy().into_owned();
+        let traced = args(&format!("--trace {path}"), &["--trace"], &[]).unwrap();
+        assert!(traced.trace_sink().is_some());
+        std::fs::remove_file(&path).ok();
+        assert!(demo("").unwrap().trace_sink().is_none());
+    }
+
+    #[test]
+    fn report_layout_round_trips_through_the_reader() {
+        let text = Report::new()
+            .field("schema", "x/v1")
+            .field("label", "say \"hi\"")
+            .field("missing", None::<u64>)
+            .field(
+                "rows",
+                vec![Report::new()
+                    .field("ok", true)
+                    .field("all", vec![fixed(1.5, 2)])],
+            )
+            .render();
+        assert!(
+            text.contains("  \"label\": \"say \\\"hi\\\"\",\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("    {\"ok\": true, \"all\": [1.50]}\n  ]\n}\n"),
+            "{text}"
+        );
+        let value = json::parse(&text).unwrap();
+        assert_eq!(value.get("label"), Some(&Value::Str("say \"hi\"".into())));
+        assert_eq!(value.get("missing"), Some(&Value::Null));
+        assert_eq!(fixed(f64::NAN, 3), Value::Null);
     }
 }

@@ -12,8 +12,9 @@ use crate::node::NodeId;
 /// *programming errors in the simulated algorithm*. By default the model
 /// assumes reliable links, but when a [`crate::FaultPlan`] is active the
 /// runtime-fault variants ([`CongestError::DeliveryFailed`],
-/// [`CongestError::NodeCrashed`]) report injected faults that the
-/// reliable-delivery envelope could not mask.
+/// [`CongestError::MessagesLost`], [`CongestError::NodeCrashed`]) report
+/// injected faults that the reliable-delivery envelope could not mask, or
+/// that no envelope was there to mask.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CongestError {
     /// A message referenced a node outside `0..n`.
@@ -43,6 +44,14 @@ pub enum CongestError {
         undelivered: u64,
         /// Delivery waves attempted (initial send plus retransmits).
         attempts: u32,
+    },
+    /// Messages went missing on a faulty network that runs without the
+    /// reliable-delivery envelope, so nothing retransmitted them.
+    MessagesLost {
+        /// Label of the accounting phase that was active.
+        phase: String,
+        /// Messages (or the values they carried) that never arrived.
+        lost: u64,
     },
     /// A fail-stopped node made delivery impossible.
     NodeCrashed {
@@ -96,6 +105,12 @@ impl fmt::Display for CongestError {
                     f,
                     "reliable delivery failed in phase {phase:?}: {undelivered} messages \
                      undelivered after {attempts} attempts"
+                )
+            }
+            CongestError::MessagesLost { phase, lost } => {
+                write!(
+                    f,
+                    "{lost} message(s) lost in phase {phase:?} without the reliable envelope"
                 )
             }
             CongestError::NodeCrashed { node, phase } => {

@@ -50,6 +50,7 @@ pub mod coloring;
 mod envelope;
 mod error;
 mod fault;
+pub mod json;
 mod metrics;
 mod network;
 mod node;

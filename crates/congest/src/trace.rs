@@ -35,6 +35,7 @@
 //! closing statistics, and renders the rounds/bits/max-link breakdown shown
 //! by `qcc trace-summary`.
 
+use crate::json::{self, Value};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -265,7 +266,7 @@ impl TraceSink {
             line.push_str(&format!(",\"parent\":{parent}"));
         }
         line.push_str(",\"label\":\"");
-        escape_into(label, &mut line);
+        json::escape_into(&mut line, label);
         line.push('"');
         if factor != 1 {
             line.push_str(&format!(",\"factor\":{factor}"));
@@ -308,7 +309,7 @@ impl TraceSink {
                 totals.calls,
             );
             line.push_str(",\"hist\":\"");
-            escape_into(hist, &mut line);
+            json::escape_into(&mut line, hist);
             line.push_str("\"}");
             inner.emit(&line);
         }
@@ -330,7 +331,7 @@ impl TraceSink {
             return;
         };
         let mut line = String::from("{\"ev\":\"comm\",\"kind\":\"");
-        escape_into(kind, &mut line);
+        json::escape_into(&mut line, kind);
         line.push('"');
         if let Some(&span) = inner.stack.last() {
             line.push_str(&format!(",\"span\":{span}"));
@@ -349,7 +350,7 @@ impl TraceSink {
             return;
         };
         let mut line = String::from("{\"ev\":\"fault\",\"kind\":\"");
-        escape_into(kind, &mut line);
+        json::escape_into(&mut line, kind);
         line.push('"');
         if let Some(&span) = inner.stack.last() {
             line.push_str(&format!(",\"span\":{span}"));
@@ -391,17 +392,6 @@ impl TraceSink {
             )));
         }
         Ok(())
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -493,156 +483,49 @@ fn err(line: usize, message: impl Into<String>) -> TraceError {
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Num(u64),
-    Str(String),
-}
-
-/// Minimal parser for the flat one-line objects this module emits: string
-/// keys mapping to unsigned integers or strings. Anything else is rejected
-/// — a malformed trace should fail loudly, not best-effort.
-fn parse_flat_object(line: &str, line_no: usize) -> Result<Vec<(String, JsonValue)>, TraceError> {
-    let bytes: Vec<char> = line.trim().chars().collect();
-    let mut pos = 0usize;
-    let mut pairs = Vec::new();
-    let expect = |pos: &mut usize, want: char, bytes: &[char]| -> Result<(), TraceError> {
-        if bytes.get(*pos) == Some(&want) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err(
-                line_no,
-                format!("expected '{want}' at column {}", *pos + 1),
-            ))
-        }
+/// One trace line as a flat object whose values are strings or unsigned
+/// integers. Anything else is rejected — a malformed trace should fail
+/// loudly, not best-effort.
+fn flat_event(line: &str, line_no: usize) -> Result<Value, TraceError> {
+    let event = json::parse(line).map_err(|e| err(line_no, e))?;
+    let Value::Obj(fields) = &event else {
+        return Err(err(line_no, "a trace event must be a JSON object"));
     };
-    expect(&mut pos, '{', &bytes)?;
-    if bytes.get(pos) == Some(&'}') {
-        return Ok(pairs);
-    }
-    loop {
-        let key = parse_json_string(&bytes, &mut pos, line_no)?;
-        expect(&mut pos, ':', &bytes)?;
-        let value = match bytes.get(pos) {
-            Some('"') => JsonValue::Str(parse_json_string(&bytes, &mut pos, line_no)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut v: u64 = 0;
-                while let Some(c) = bytes.get(pos).filter(|c| c.is_ascii_digit()) {
-                    v = v
-                        .checked_mul(10)
-                        .and_then(|v| v.checked_add(*c as u64 - '0' as u64))
-                        .ok_or_else(|| err(line_no, "integer overflow"))?;
-                    pos += 1;
-                }
-                JsonValue::Num(v)
+    for (key, value) in fields {
+        match value {
+            Value::Str(_) => {}
+            Value::Num(literal) => {
+                json::int::<u64>(literal).map_err(|e| err(line_no, format!("field {key}: {e}")))?;
             }
             _ => {
                 return Err(err(
                     line_no,
-                    format!("expected value at column {}", pos + 1),
-                ))
-            }
-        };
-        pairs.push((key, value));
-        match bytes.get(pos) {
-            Some(',') => pos += 1,
-            Some('}') => {
-                pos += 1;
-                break;
-            }
-            _ => {
-                return Err(err(
-                    line_no,
-                    format!("expected ',' or '}}' at column {}", pos + 1),
+                    format!("field {key} must be an unsigned integer or a string"),
                 ))
             }
         }
     }
-    if pos != bytes.len() {
-        return Err(err(line_no, "trailing characters after object"));
-    }
-    Ok(pairs)
+    Ok(event)
 }
 
-fn parse_json_string(
-    bytes: &[char],
-    pos: &mut usize,
-    line_no: usize,
-) -> Result<String, TraceError> {
-    if bytes.get(*pos) != Some(&'"') {
-        return Err(err(
-            line_no,
-            format!("expected string at column {}", *pos + 1),
-        ));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(line_no, "unterminated string")),
-            Some('"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some('\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('u') => {
-                        let hex: String = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .unwrap_or(&[])
-                            .iter()
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .ok()
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| err(line_no, "bad \\u escape"))?;
-                        out.push(code);
-                        *pos += 4;
-                    }
-                    _ => return Err(err(line_no, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-        }
-    }
+fn take_num(event: &Value, key: &str, line_no: usize) -> Result<u64, TraceError> {
+    opt_num(event, key, line_no)?.ok_or_else(|| err(line_no, format!("missing field {key}")))
 }
 
-fn take_num(pairs: &[(String, JsonValue)], key: &str, line_no: usize) -> Result<u64, TraceError> {
-    opt_num(pairs, key, line_no)?.ok_or_else(|| err(line_no, format!("missing field {key}")))
-}
-
-fn opt_num(
-    pairs: &[(String, JsonValue)],
-    key: &str,
-    line_no: usize,
-) -> Result<Option<u64>, TraceError> {
-    match pairs.iter().find(|(k, _)| k == key) {
+fn opt_num(event: &Value, key: &str, line_no: usize) -> Result<Option<u64>, TraceError> {
+    match event.get(key) {
         None => Ok(None),
-        Some((_, JsonValue::Num(v))) => Ok(Some(*v)),
-        Some((_, JsonValue::Str(_))) => Err(err(line_no, format!("field {key} must be a number"))),
+        Some(Value::Num(literal)) => json::int(literal)
+            .map(Some)
+            .map_err(|e| err(line_no, format!("field {key}: {e}"))),
+        Some(_) => Err(err(line_no, format!("field {key} must be a number"))),
     }
 }
 
-fn take_str(
-    pairs: &[(String, JsonValue)],
-    key: &str,
-    line_no: usize,
-) -> Result<String, TraceError> {
-    match pairs.iter().find(|(k, _)| k == key) {
-        Some((_, JsonValue::Str(v))) => Ok(v.clone()),
-        Some((_, JsonValue::Num(_))) => Err(err(line_no, format!("field {key} must be a string"))),
+fn take_str(event: &Value, key: &str, line_no: usize) -> Result<String, TraceError> {
+    match event.get(key) {
+        Some(Value::Str(v)) => Ok(v.clone()),
+        Some(_) => Err(err(line_no, format!("field {key} must be a string"))),
         None => Err(err(line_no, format!("missing field {key}"))),
     }
 }
@@ -653,31 +536,31 @@ fn take_str(
 ///
 /// Returns a [`TraceError`] describing the first malformation.
 pub fn parse_trace_line(line: &str, line_no: usize) -> Result<TraceEvent, TraceError> {
-    let pairs = parse_flat_object(line, line_no)?;
-    match take_str(&pairs, "ev", line_no)?.as_str() {
+    let event = flat_event(line, line_no)?;
+    match take_str(&event, "ev", line_no)?.as_str() {
         "open" => Ok(TraceEvent::Open {
-            id: take_num(&pairs, "id", line_no)?,
-            parent: opt_num(&pairs, "parent", line_no)?,
-            label: take_str(&pairs, "label", line_no)?,
-            factor: opt_num(&pairs, "factor", line_no)?.unwrap_or(1),
+            id: take_num(&event, "id", line_no)?,
+            parent: opt_num(&event, "parent", line_no)?,
+            label: take_str(&event, "label", line_no)?,
+            factor: opt_num(&event, "factor", line_no)?.unwrap_or(1),
         }),
         "close" => Ok(TraceEvent::Close {
-            id: take_num(&pairs, "id", line_no)?,
-            rounds: opt_num(&pairs, "rounds", line_no)?,
+            id: take_num(&event, "id", line_no)?,
+            rounds: opt_num(&event, "rounds", line_no)?,
         }),
         "comm" => Ok(TraceEvent::Comm(CommEvent {
-            kind: take_str(&pairs, "kind", line_no)?,
-            span: opt_num(&pairs, "span", line_no)?,
-            rounds: take_num(&pairs, "rounds", line_no)?,
-            messages: take_num(&pairs, "messages", line_no)?,
-            bits: take_num(&pairs, "bits", line_no)?,
-            max_link_bits: take_num(&pairs, "max_link_bits", line_no)?,
-            max_node_out_bits: take_num(&pairs, "max_node_out_bits", line_no)?,
-            max_node_in_bits: take_num(&pairs, "max_node_in_bits", line_no)?,
+            kind: take_str(&event, "kind", line_no)?,
+            span: opt_num(&event, "span", line_no)?,
+            rounds: take_num(&event, "rounds", line_no)?,
+            messages: take_num(&event, "messages", line_no)?,
+            bits: take_num(&event, "bits", line_no)?,
+            max_link_bits: take_num(&event, "max_link_bits", line_no)?,
+            max_node_out_bits: take_num(&event, "max_node_out_bits", line_no)?,
+            max_node_in_bits: take_num(&event, "max_node_in_bits", line_no)?,
         })),
         "fault" => Ok(TraceEvent::Fault {
-            kind: take_str(&pairs, "kind", line_no)?,
-            span: opt_num(&pairs, "span", line_no)?,
+            kind: take_str(&event, "kind", line_no)?,
+            span: opt_num(&event, "span", line_no)?,
         }),
         other => Err(err(line_no, format!("unknown event kind: {other}"))),
     }

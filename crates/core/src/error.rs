@@ -97,7 +97,9 @@ impl ApspError {
         matches!(
             root,
             ApspError::Congest(
-                CongestError::DeliveryFailed { .. } | CongestError::DecodeFailed { .. }
+                CongestError::DeliveryFailed { .. }
+                    | CongestError::MessagesLost { .. }
+                    | CongestError::DecodeFailed { .. }
             ) | ApspError::StageAborted { .. }
                 | ApspError::Internal { .. }
         )

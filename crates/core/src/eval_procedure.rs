@@ -294,7 +294,8 @@ fn evaluate_with_cap(
 
     // Copy nodes answer from their gathered tables, through the oracle
     // census cache: repeats of a (triple, pair) probe are O(1).
-    net.begin_phase(&format!("step3/alpha{}/eval-answers", actx.alpha));
+    let phase = format!("step3/alpha{}/eval-answers", actx.alpha);
+    net.begin_phase(&phase);
     let mut replies: Vec<Envelope<Wire<(usize, bool)>>> = Vec::with_capacity(queries.len());
     for host in NodeId::all(n) {
         for (asker, msg) in boxes.of(host) {
@@ -322,11 +323,12 @@ fn evaluate_with_cap(
     }
     // On a reliable network every query is answered; on a fault-injected
     // one without the delivery envelope, lost messages surface here.
-    if let Some(idx) = answered.iter().position(|&a| !a) {
-        return Err(EvalJointError::Internal(format!(
-            "query {idx} of {} went unanswered — messages lost in transit",
-            queries.len()
-        )));
+    let lost = answered.iter().filter(|&&a| !a).count();
+    if lost > 0 {
+        return Err(EvalJointError::Congest(CongestError::MessagesLost {
+            phase,
+            lost: lost as u64,
+        }));
     }
     Ok(answers)
 }
@@ -610,10 +612,10 @@ impl<'a, 'd> ChargeOnlyEval<'a, 'd> {
 pub enum EvalJointError {
     /// The truncated evaluator refused an atypical query load.
     Atypical(AtypicalInputError),
-    /// Simulator-level addressing bug.
+    /// A simulator error: an addressing bug, or queries left unanswered
+    /// by messages lost on an unprotected faulty network.
     Congest(CongestError),
-    /// Broken invariant: a foreign pair, an unknown triple copy, or an
-    /// unanswered query (lost messages on an unprotected faulty network).
+    /// Broken invariant: a foreign pair or an unknown triple copy.
     Internal(String),
 }
 

@@ -47,7 +47,7 @@ use crate::driver::{apsp_driver, hardened, spanned, DriverConfig, FallbackPolicy
 use crate::las_vegas::{charged, las_vegas, Accepted, Charged, Try};
 use crate::params::Params;
 use crate::ApspError;
-use qcc_congest::{Clique, Envelope, NetConfig, NodeId, TraceSink};
+use qcc_congest::{Clique, CongestError, Envelope, NetConfig, NodeId, TraceSink};
 use qcc_graph::{DiGraph, ExtWeight, WeightMatrix};
 use qcc_quantum::{GroverAmplitudes, DEFAULT_STAGE_ATTEMPTS};
 use rand::Rng;
@@ -297,11 +297,22 @@ pub struct NetworkExtremumOutcome {
     pub rounds: u64,
 }
 
+/// The retryable error for `count` values that never reached their
+/// receiver in extremum step `step` — messages lost on a faulty network
+/// without the reliable envelope.
+fn lost(step: &str, count: usize) -> ApspError {
+    CongestError::MessagesLost {
+        phase: step.to_string(),
+        lost: count as u64,
+    }
+    .into()
+}
+
 /// One distributed oracle evaluation: the coordinator asks the holder of
 /// `idx` for its value (query exchange), the holder answers (answer
 /// exchange). On the coordinator's own index both messages are local and
 /// free. Lost messages (faults without an envelope) surface as a retryable
-/// [`ApspError::Internal`].
+/// [`CongestError::MessagesLost`].
 fn evaluate_remote(
     values: &[ExtWeight],
     idx: usize,
@@ -331,9 +342,7 @@ fn evaluate_remote(
         .map(|&(_, (tag, value))| decode_weight(tag, value));
     match answer {
         Some(w) => w,
-        None => Err(ApspError::Internal {
-            context: format!("oracle evaluation of node {idx} lost on the wire"),
-        }),
+        None => Err(lost("extremum/oracle-evaluation", 1)),
     }
 }
 
@@ -353,8 +362,8 @@ fn evaluate_remote(
 ///
 /// * [`ApspError::StageAborted`] when a stage exhausts `stage_attempts`
 ///   BBHT attempts (retryable; the caller restarts with fresh randomness).
-/// * [`ApspError::Internal`] when an injected fault swallows a query or
-///   answer on an envelope-less network (retryable).
+/// * [`CongestError::MessagesLost`] when an injected fault swallows a
+///   query or answer on an envelope-less network (retryable).
 /// * Network errors ([`ApspError::Congest`]) from the exchanges.
 ///
 /// # Panics
@@ -469,8 +478,8 @@ pub fn network_extremum<R: Rng>(
 ///
 /// # Errors
 ///
-/// * [`ApspError::Internal`] when some value never arrives (faults without
-///   an envelope; retryable).
+/// * [`CongestError::MessagesLost`] when some value never arrives
+///   (faults without an envelope; retryable).
 /// * Network errors from the exchanges.
 ///
 /// # Panics
@@ -496,9 +505,7 @@ pub fn classical_extremum_scan(
     }
     let missing = gathered.iter().filter(|g| g.is_none()).count();
     if missing > 0 {
-        return Err(ApspError::Internal {
-            context: format!("classical scan lost {missing} of {n} values on the wire"),
-        });
+        return Err(lost("extremum/classical-scan", missing));
     }
     let better = |a: ExtWeight, b: ExtWeight| if maximize { a > b } else { a < b };
     let mut best = 0usize;
@@ -585,9 +592,7 @@ fn certify_extremum_on(
         };
         if !heard {
             // A node that never heard the claim cannot endorse it.
-            return Err(ApspError::Internal {
-                context: format!("extremum claim broadcast lost before node {i}"),
-            });
+            return Err(lost("extremum/claim-broadcast", 1));
         }
         *flag = better(values[i], claim_val) || (i == claim_idx && values[i] != claim_val);
     }
@@ -597,7 +602,8 @@ fn certify_extremum_on(
 
 /// Gather of every node's eccentricity at the coordinator — the
 /// full-vector parameter's "search". Charges one exchange; a lost value
-/// (faults without an envelope) is a retryable [`ApspError::Internal`].
+/// (faults without an envelope) is a retryable
+/// [`CongestError::MessagesLost`].
 fn gather_eccentricities(
     ecc: &[ExtWeight],
     net: &mut Clique,
@@ -616,9 +622,7 @@ fn gather_eccentricities(
     }
     let missing = seen.iter().filter(|s| !**s).count();
     if missing > 0 {
-        return Err(ApspError::Internal {
-            context: format!("eccentricity gather lost {missing} of {n} values on the wire"),
-        });
+        return Err(lost("extremum/eccentricity-gather", missing));
     }
     Ok(NetworkExtremumOutcome {
         index: 0,

@@ -309,6 +309,15 @@ impl Flags {
         }
     }
 
+    /// `--n`, which every subcommand that takes it requires to be at
+    /// least 1: a network needs a node.
+    fn n(&self, default: usize) -> Result<usize, CliError> {
+        match self.num("--n", default)? {
+            0 => Err(CliError("--n must be at least 1".into())),
+            n => Ok(n),
+        }
+    }
+
     fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
         match self.get(name) {
             Some(v) => v
@@ -428,7 +437,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let n = flags.num("--n", 8)?;
+            let n = flags.n(8)?;
             let faults = parse_fault_plan(&flags, n)?;
             let transport = match flags.get("--transport") {
                 None => TransportKind::Clique,
@@ -482,10 +491,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let flags = collect_flags(command, rest, &allowed, &["--verify"])?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let n: usize = flags.num("--n", 12)?;
-            if n == 0 {
-                return Err(CliError("--n must be at least 1".into()));
-            }
+            let n = flags.n(12)?;
             let faults = parse_fault_plan(&flags, n)?;
             let backend = match flags.get("--backend") {
                 None | Some("quantum") => ExtremumBackend::Quantum,
@@ -526,7 +532,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 Some(other) => return Err(CliError(format!("unknown backend: {other}"))),
             };
             Ok(Command::FindEdges {
-                n: flags.num("--n", 16)?,
+                n: flags.n(16)?,
                 seed: flags.num("--seed", 7)?,
                 backend,
                 trace: flags.trace(),
@@ -536,7 +542,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let flags = collect_flags(command, rest, &["--n", "--seed", "--trace"], &[])?;
             flags.reject_positionals(command)?;
             Ok(Command::Paths {
-                n: flags.num("--n", 8)?,
+                n: flags.n(8)?,
                 seed: flags.num("--seed", 7)?,
                 trace: flags.trace(),
             })
@@ -545,7 +551,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let flags = collect_flags(command, rest, &["--n", "--seed", "--bits", "--trace"], &[])?;
             flags.reject_positionals(command)?;
             Ok(Command::Gamma {
-                n: flags.num("--n", 16)?,
+                n: flags.n(16)?,
                 seed: flags.num("--seed", 7)?,
                 bits: flags.num("--bits", 9)?,
                 trace: flags.trace(),
@@ -569,7 +575,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let n = flags.num("--n", 8)?;
+            let n = flags.n(8)?;
             let faults = parse_fault_plan(&flags, n)?;
             let row_cache: Option<usize> = flags.opt_num("--row-cache")?;
             if row_cache == Some(0) {

@@ -209,9 +209,9 @@ fn driver_rejected_certificates_degrade_to_the_fallback() {
 fn driver_typed_errors_degrade_to_the_fallback() {
     let cfg = driver(ApspAlgorithm::QuantumTriangle, lossy("0.1", 3));
     assert_pin(&driver_pin(3, &cfg),
-        "0 QuantumTriangle 423 None Some(\"internal invariant violated: query 5 of 533 went unanswered — messages lost in transit (after charging 423 rounds)\") false\n\
-         1 QuantumTriangle 432 None Some(\"internal invariant violated: query 3 of 532 went unanswered — messages lost in transit (after charging 432 rounds)\") false\n\
-         2 QuantumTriangle 441 None Some(\"internal invariant violated: query 4 of 531 went unanswered — messages lost in transit (after charging 441 rounds)\") false\n\
+        "0 QuantumTriangle 423 None Some(\"network error: 84 message(s) lost in phase \\\"step3/alpha0/eval-answers\\\" without the reliable envelope (after charging 423 rounds)\") false\n\
+         1 QuantumTriangle 432 None Some(\"network error: 85 message(s) lost in phase \\\"step3/alpha0/eval-answers\\\" without the reliable envelope (after charging 432 rounds)\") false\n\
+         2 QuantumTriangle 441 None Some(\"network error: 88 message(s) lost in phase \\\"step3/alpha0/eval-answers\\\" without the reliable envelope (after charging 441 rounds)\") false\n\
          3 SemiringSquaring 116 Some(true) None true\n\
          total 1412 run 84 verified true fallback true exact true\n\
          next draw ba7823bdb7b65ca5\n\
@@ -226,7 +226,7 @@ fn driver_fail_policy_returns_the_last_typed_error() {
         ..driver(ApspAlgorithm::QuantumTriangle, lossy("0.1", 1))
     };
     assert_pin(&driver_pin(1, &cfg),
-        "error internal invariant violated: query 2 of 533 went unanswered — messages lost in transit (after charging 441 rounds)\n\
+        "error network error: 79 message(s) lost in phase \"step3/alpha0/eval-answers\" without the reliable envelope (after charging 441 rounds)\n\
          next draw efc7ec3647155085\n\
          trace 1997 lines 0b116cc455c81613",
     );
@@ -280,7 +280,7 @@ fn quantum_search_typed_errors_then_a_certified_extremum() {
         lossy("0.1", 2),
     );
     assert_pin(&distance_pin(2, &cfg),
-        "0 Quantum 25 0 None Some(\"internal invariant violated: oracle evaluation of node 1 lost on the wire (after charging 25 rounds)\") false\n\
+        "0 Quantum 25 0 None Some(\"network error: 1 message(s) lost in phase \\\"extremum/oracle-evaluation\\\" without the reliable envelope (after charging 25 rounds)\") false\n\
          1 Quantum 39 7 Some(true) None false\n\
          value 12 witness Some(0) distance 29 search 64 total 93 evaluations 7 verified true fallback false\n\
          next draw e10903e16ac62a98\n\
@@ -296,9 +296,9 @@ fn quantum_search_degrades_to_the_verified_scan() {
         lossy("0.05", 1),
     );
     assert_pin(&distance_pin(1, &cfg),
-        "0 Quantum 12 0 None Some(\"internal invariant violated: oracle evaluation of node 7 lost on the wire (after charging 12 rounds)\") false\n\
-         1 Quantum 30 0 None Some(\"internal invariant violated: oracle evaluation of node 3 lost on the wire (after charging 30 rounds)\") false\n\
-         2 Quantum 5 0 None Some(\"internal invariant violated: oracle evaluation of node 3 lost on the wire (after charging 5 rounds)\") false\n\
+        "0 Quantum 12 0 None Some(\"network error: 1 message(s) lost in phase \\\"extremum/oracle-evaluation\\\" without the reliable envelope (after charging 12 rounds)\") false\n\
+         1 Quantum 30 0 None Some(\"network error: 1 message(s) lost in phase \\\"extremum/oracle-evaluation\\\" without the reliable envelope (after charging 30 rounds)\") false\n\
+         2 Quantum 5 0 None Some(\"network error: 1 message(s) lost in phase \\\"extremum/oracle-evaluation\\\" without the reliable envelope (after charging 5 rounds)\") false\n\
          3 ClassicalScan 27 8 Some(true) None true\n\
          value 9 witness Some(1) distance 17 search 74 total 91 evaluations 8 verified true fallback true\n\
          next draw d8733a942d2b4380\n\
@@ -317,7 +317,7 @@ fn quantum_search_fail_policy_returns_the_last_typed_error() {
         )
     };
     assert_pin(&distance_pin(1, &cfg),
-        "error internal invariant violated: oracle evaluation of node 3 lost on the wire (after charging 5 rounds)\n\
+        "error network error: 1 message(s) lost in phase \"extremum/oracle-evaluation\" without the reliable envelope (after charging 5 rounds)\n\
          next draw d8733a942d2b4380\n\
          trace 72 lines 950cd4ae611e9a98",
     );
@@ -331,9 +331,9 @@ fn scan_search_degrades_to_its_fallback() {
         lossy("0.3", 2),
     );
     assert_pin(&distance_pin(2, &cfg),
-        "0 ClassicalScan 3 0 None Some(\"internal invariant violated: classical scan lost 1 of 8 values on the wire (after charging 3 rounds)\") false\n\
-         1 ClassicalScan 3 0 None Some(\"internal invariant violated: classical scan lost 3 of 8 values on the wire (after charging 3 rounds)\") false\n\
-         2 ClassicalScan 3 0 None Some(\"internal invariant violated: classical scan lost 3 of 8 values on the wire (after charging 3 rounds)\") false\n\
+        "0 ClassicalScan 3 0 None Some(\"network error: 1 message(s) lost in phase \\\"extremum/classical-scan\\\" without the reliable envelope (after charging 3 rounds)\") false\n\
+         1 ClassicalScan 3 0 None Some(\"network error: 3 message(s) lost in phase \\\"extremum/classical-scan\\\" without the reliable envelope (after charging 3 rounds)\") false\n\
+         2 ClassicalScan 3 0 None Some(\"network error: 3 message(s) lost in phase \\\"extremum/classical-scan\\\" without the reliable envelope (after charging 3 rounds)\") false\n\
          3 ClassicalScan 113 8 Some(true) None true\n\
          value 4 witness Some(6) distance 358 search 122 total 480 evaluations 8 verified true fallback true\n\
          next draw e109e37c988360e1\n\
@@ -349,9 +349,9 @@ fn eccentricity_gather_degrades_to_its_fallback() {
         lossy("0.3", 2),
     );
     assert_pin(&distance_pin(2, &cfg),
-        "0 Quantum 3 0 None Some(\"internal invariant violated: eccentricity gather lost 1 of 8 values on the wire (after charging 3 rounds)\") false\n\
-         1 Quantum 3 0 None Some(\"internal invariant violated: eccentricity gather lost 3 of 8 values on the wire (after charging 3 rounds)\") false\n\
-         2 Quantum 3 0 None Some(\"internal invariant violated: eccentricity gather lost 3 of 8 values on the wire (after charging 3 rounds)\") false\n\
+        "0 Quantum 3 0 None Some(\"network error: 1 message(s) lost in phase \\\"extremum/eccentricity-gather\\\" without the reliable envelope (after charging 3 rounds)\") false\n\
+         1 Quantum 3 0 None Some(\"network error: 3 message(s) lost in phase \\\"extremum/eccentricity-gather\\\" without the reliable envelope (after charging 3 rounds)\") false\n\
+         2 Quantum 3 0 None Some(\"network error: 3 message(s) lost in phase \\\"extremum/eccentricity-gather\\\" without the reliable envelope (after charging 3 rounds)\") false\n\
          3 ClassicalScan 29 8 None None true\n\
          value 12 witness None distance 358 search 38 total 396 evaluations 8 verified true fallback true\n\
          next draw e109e37c988360e1\n\
@@ -370,7 +370,7 @@ fn unverified_search_accepts_its_first_claim() {
         )
     };
     assert_pin(&distance_pin(2, &cfg),
-        "0 Quantum 30 0 None Some(\"internal invariant violated: oracle evaluation of node 1 lost on the wire (after charging 30 rounds)\") false\n\
+        "0 Quantum 30 0 None Some(\"network error: 1 message(s) lost in phase \\\"extremum/oracle-evaluation\\\" without the reliable envelope (after charging 30 rounds)\") false\n\
          1 Quantum 9 1 None None false\n\
          value inf witness Some(5) distance 1 search 39 total 40 evaluations 1 verified false fallback false\n\
          next draw 77283c1ccceb2a9c\n\

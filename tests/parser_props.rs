@@ -1,6 +1,7 @@
 //! Arbitrary-input properties of every parser of untrusted text: CLI
-//! flags, fault specs, serve NDJSON requests and trace NDJSON lines. Each
-//! must answer garbage with a typed error and never panic. Inputs come
+//! flags, fault specs, the shared JSON reader, and the serve NDJSON
+//! requests and trace NDJSON lines built on it. Each must answer garbage
+//! with a typed error and never panic. Inputs come
 //! from raw bytes (lossily decoded) or from alphabets of the grammar's own
 //! tokens, which reach far deeper than random bytes do. Emitted trace
 //! events must also parse back to what was written.
@@ -9,6 +10,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use qcc::algo::parse_request;
 use qcc::cli::parse;
+use qcc::congest::json::{self, Value};
 use qcc::congest::{
     parse_trace, parse_trace_line, Clique, Envelope, FaultPlan, NodeId, TraceEvent, TraceSink,
     TraceSummary,
@@ -50,8 +52,41 @@ const JSON_TOKENS: &[&str] = &[
     "1e400", "18446744073709551616", "9223372036854775808", "true", "null", " ", "é",
 ];
 
+/// Pieces of strings that need escaping, or that a byte-wise reader could
+/// split wrongly: quotes, backslashes, control and non-ASCII characters.
+#[rustfmt::skip]
+const STRING_TOKENS: &[&str] = &[
+    "\"", "\\", "\\u0041", "/", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "\u{2028}",
+    "\u{1f600}", "\u{fffd}", "a", " ",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn escaped_strings_read_back_unchanged(
+        head in from_alphabet(STRING_TOKENS, 12),
+        tail in vec(0u32..0x11_0000, 0..8),
+    ) {
+        let text: String = head
+            .chars()
+            .chain(tail.iter().map(|&c| char::from_u32(c).unwrap_or('\u{fffd}')))
+            .collect();
+        let mut quoted = String::from("\"");
+        json::escape_into(&mut quoted, &text);
+        quoted.push('"');
+        prop_assert_eq!(json::parse(&quoted), Ok(Value::Str(text)));
+    }
+
+    #[test]
+    fn json_reader_survives_raw_bytes(line in garbage(64)) {
+        let _ = json::parse(&line);
+    }
+
+    #[test]
+    fn json_reader_survives_token_soup(line in from_alphabet(JSON_TOKENS, 24)) {
+        let _ = json::parse(&line);
+    }
 
     #[test]
     fn cli_parse_never_panics(tokens in vec(from_alphabet(CLI_TOKENS, 3), 0..8)) {
@@ -147,4 +182,51 @@ proptest! {
         summary.verify().unwrap();
         prop_assert_eq!(summary.total_rounds(), net.rounds() * factors[..labels.len()].iter().product::<u64>());
     }
+}
+
+#[test]
+fn trace_fields_take_the_full_u64_range_and_nothing_else() {
+    let line = |id: &str| format!("{{\"ev\":\"close\",\"id\":{id}}}");
+    assert_eq!(
+        parse_trace_line(&line("18446744073709551615"), 1),
+        Ok(TraceEvent::Close {
+            id: u64::MAX,
+            rounds: None
+        })
+    );
+    for bad in [
+        "18446744073709551616",
+        "-1",
+        "1.5",
+        "1e3",
+        "[1]",
+        "{\"a\":1}",
+        "true",
+        "null",
+    ] {
+        assert!(parse_trace_line(&line(bad), 1).is_err(), "id {bad} parsed");
+    }
+    // Fields the event does not read must still be flat.
+    assert!(parse_trace_line("{\"ev\":\"close\",\"id\":1,\"extra\":[1]}", 1).is_err());
+}
+
+#[test]
+fn every_checked_in_bench_report_reads_back() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(root).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let value = json::parse(&std::fs::read_to_string(&path).unwrap())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            value.get("schema").is_some() || value.get("n").is_some(),
+            "{name} has neither a schema nor an n"
+        );
+        seen += 1;
+    }
+    assert!(seen >= 6, "only {seen} BENCH_*.json files found");
 }

@@ -245,3 +245,29 @@ fn the_cli_rejects_fault_nodes_outside_the_network_as_usage_errors() {
         );
     }
 }
+
+#[test]
+fn every_subcommand_rejects_an_empty_network_as_a_usage_error() {
+    for command in [
+        "apsp",
+        "diameter",
+        "radius",
+        "ecc",
+        "serve",
+        "find-edges",
+        "paths",
+        "gamma",
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_qcc"))
+            .args([command, "--n", "0"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--n must be at least 1"),
+            "{command}: {stderr}"
+        );
+    }
+}
